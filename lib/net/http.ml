@@ -507,9 +507,9 @@ let reserved_header = function
   | "date" | "content-length" | "connection" -> true
   | _ -> false
 
-(* Header block + body as an iov: the ordered outbox hands batches of
-   these to one [Conn.writev_all], so a burst of pipelined responses
-   costs one gathering syscall. *)
+(* Header block + body as an iov: the {!Outbox} hands batches of these
+   to one [Conn.writev_all], so a burst of pipelined responses costs one
+   gathering syscall. *)
 let serialize ?(head_only = false) ~keep_alive r =
   let b = Buffer.create 256 in
   let reason = if r.reason = "" then reason_phrase r.status else r.reason in
@@ -535,102 +535,6 @@ let serialize ?(head_only = false) ~keep_alive r =
   Buffer.add_string b "\r\n\r\n";
   let head = Buffer.to_bytes b in
   if head_only || Bytes.length r.resp_body = 0 then [ head ] else [ head; r.resp_body ]
-
-(* ------------------------------------------------------------------ *)
-(* The request-ordered combining outbox                               *)
-(* ------------------------------------------------------------------ *)
-
-(* {!Rpc}'s outbox flushes in completion order — correct there because
-   request ids let the client demultiplex.  HTTP/1.1 has no ids:
-   pipelined responses must leave in request order.  So instead of a
-   stack, completed responses land in a slot table keyed by the
-   sequence number their request was decoded with, and the flusher
-   walks [next_send] upward, coalescing every {e consecutive} ready
-   response into one vectored write.  A response finishing ahead of a
-   still-running earlier handler parks in the table until the gap
-   fills; its writer loops on its outcome cell exactly like Rpc's
-   writers, so flush failures reach the writers whose frames were in
-   the failed batch and no frame is ever abandoned. *)
-
-type fstate = Fpending | Fdone | Ffailed of exn
-
-type oentry = { iov : Bytes.t list; cell : fstate Atomic.t; close_after : bool }
-
-type ordered_outbox = {
-  mu : Mutex.t;  (* guards [ready] + [next_send]; never held across I/O *)
-  ready : (int, oentry) Hashtbl.t;
-  mutable next_send : int;
-  next_seq : int Atomic.t;
-  flushing : bool Atomic.t;  (* thread-agnostic: holder may park mid-writev *)
-  sleep : unit -> unit;
-}
-
-let make_oob sleep =
-  {
-    mu = Mutex.create ();
-    ready = Hashtbl.create 16;
-    next_send = 0;
-    next_seq = Atomic.make 0;
-    flushing = Atomic.make false;
-    sleep;
-  }
-
-let alloc_seq ob = Atomic.fetch_and_add ob.next_seq 1
-
-let rec flush_oob ob conn =
-  Mutex.lock ob.mu;
-  let rec collect acc n =
-    match Hashtbl.find_opt ob.ready n with
-    | Some e ->
-        Hashtbl.remove ob.ready n;
-        collect (e :: acc) (n + 1)
-    | None -> (List.rev acc, n)
-  in
-  let batch, n' = collect [] ob.next_send in
-  ob.next_send <- n';
-  Mutex.unlock ob.mu;
-  match batch with
-  | [] -> ()
-  | batch ->
-      (match Conn.writev_all conn (List.concat_map (fun e -> e.iov) batch) with
-      | () ->
-          List.iter (fun e -> Atomic.set e.cell Fdone) batch;
-          (* [Connection: close] takes effect only after the bytes are
-             out; anything sequenced after it fails with Net.Closed on
-             the next pass. *)
-          if List.exists (fun e -> e.close_after) batch then Conn.close conn
-      | exception ex ->
-          List.iter (fun e -> Atomic.set e.cell (Ffailed ex)) batch;
-          Conn.close conn);
-      flush_oob ob conn
-
-(* Blocks (suspending the fiber via [sleep]) until this sequence slot's
-   bytes are on the wire or the write failed.  Raising on failure lets
-   the caller treat an unwritable response like Rpc does: the peer is
-   owed bytes it will never get, so the connection must die. *)
-let send_ordered ob conn ~seq iov ~close_after =
-  let e = { iov; cell = Atomic.make Fpending; close_after } in
-  Mutex.lock ob.mu;
-  Hashtbl.replace ob.ready seq e;
-  Mutex.unlock ob.mu;
-  let rec resolve () =
-    match Atomic.get e.cell with
-    | Fdone -> ()
-    | Ffailed ex -> raise ex
-    | Fpending ->
-        if Atomic.compare_and_set ob.flushing false true then
-          Fun.protect
-            ~finally:(fun () -> Atomic.set ob.flushing false)
-            (fun () -> flush_oob ob conn);
-        (* Unlike Rpc's outbox, a successful flush need not include our
-           frame: an earlier sequence number may still be computing, in
-           which case nothing was written.  Sleep on any pass that left
-           the cell unresolved, or this loop hot-spins a worker for the
-           whole gap. *)
-        (match Atomic.get e.cell with Fpending -> ob.sleep () | _ -> ());
-        resolve ()
-  in
-  resolve ()
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                             *)
@@ -853,7 +757,9 @@ let oldest_pending_age s = gauge_oldest_age s.s_gauge
 
 (* One connection's serve loop: decode requests with the incremental
    parser, hand each to the pool through its dispatcher, and sequence
-   responses through the ordered outbox.  The loop itself runs as the
+   responses through the {!Outbox} by the number each request was
+   decoded with (HTTP/1.1 has no ids: pipelined responses leave in
+   request order).  The loop itself runs as the
    listener's per-connection task on the serving pool; handlers go
    wherever [route] says (default dispatcher, or a route's own — the
    topology pinning seam). *)
@@ -863,18 +769,19 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
     Parser.create ~max_header_bytes:cfg.max_header_bytes
       ~max_body_bytes:cfg.max_body_bytes ()
   in
-  let ob = make_oob (fun () -> P.sleep pool 0.0002) in
-  let outstanding = Atomic.make 0 in
+  let park = P.suspend pool in
+  let ob = Outbox.create park in
+  let outstanding = Gate.create park in
   let stop = ref false in
   let chunk = Bytes.create 8192 in
   let submit ~seq ~head_only ~keep_alive resp =
     let iov = serialize ~head_only ~keep_alive resp in
-    (try send_ordered ob conn ~seq iov ~close_after:(not keep_alive)
+    (try Outbox.send ob conn ~seq ~close_after:(not keep_alive) iov
      with Net.Closed | Net.Timeout | Unix.Unix_error _ -> Conn.close conn);
     Atomic.incr st.s_served
   in
   let handle (req : request) =
-    let seq = alloc_seq ob in
+    let seq = Outbox.reserve ob in
     let head_only = req.meth = "HEAD" in
     if Atomic.get st.s_draining then begin
       (* Drain: answer, announce the close, stop decoding. *)
@@ -911,13 +818,13 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
         match dispatch_override with Some d -> d | None -> default_dispatch
       in
       let gid = gauge_admit st.s_gauge in
-      Atomic.incr outstanding;
+      Gate.enter outstanding;
       Atomic.incr st.s_inflight;
       dispatch (fun () ->
           Fun.protect
             ~finally:(fun () ->
               gauge_finish st.s_gauge gid;
-              Atomic.decr outstanding;
+              Gate.leave outstanding;
               Atomic.decr st.s_inflight)
             (fun () ->
               let resp =
@@ -935,14 +842,12 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
     | Parser.Failed err ->
         (* Poisoned stream: answer with the parse error's status and
            close — never leave the peer hanging, never keep reading. *)
-        let seq = alloc_seq ob in
+        let seq = Outbox.reserve ob in
         submit ~seq ~head_only:false ~keep_alive:false
           (text ~status:err.Parser.status (err.Parser.reason ^ "\n"));
         stop := true
     | Parser.Need_more -> (
-        while Atomic.get outstanding >= cfg.max_pipeline do
-          P.sleep pool 0.0002
-        done;
+        Gate.wait_below outstanding cfg.max_pipeline;
         match Conn.read conn chunk 0 (Bytes.length chunk) with
         | 0 -> stop := true  (* EOF; a partial request has no one to answer *)
         | n -> Parser.feed parser ~len:n chunk
@@ -952,7 +857,7 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
               stop := true
             else begin
               (* The peer stalled mid-request: tell it before closing. *)
-              let seq = alloc_seq ob in
+              let seq = Outbox.reserve ob in
               submit ~seq ~head_only:false ~keep_alive:false
                 (text ~status:408 "request timeout\n");
               stop := true
@@ -966,9 +871,7 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
   (* The listener closes the conn the moment we return; in-flight
      handlers still owe responses — wait them out (each one's [submit]
      resolves even on failure, so this terminates). *)
-  while Atomic.get outstanding > 0 do
-    P.sleep pool 0.0002
-  done
+  Gate.wait_below outstanding 1
 
 let serve_gen (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
     ?(config = default_config) ?dispatch addr ~route =
@@ -1198,10 +1101,10 @@ module Client = struct
     rb : rdbuf;
     q_mu : Mutex.t;
     q : entry Queue.t;
-    wl : bool Atomic.t;  (* write lock: thread-agnostic, see Rpc.wlock *)
-    sleep : unit -> unit;
+    wl : Gate.t;
+    park : Gate.park;
     closed : bool Atomic.t;
-    demux_done : bool Atomic.t;
+    demux_done : unit Promise.t;
   }
 
   let pop_entry c =
@@ -1263,22 +1166,23 @@ module Client = struct
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
     let conn = Conn.create rt ?read_timeout ?write_timeout fd in
+    let park = P.suspend pool in
     let c =
       {
         conn;
         rb = make_rdbuf conn;
         q_mu = Mutex.create ();
         q = Queue.create ();
-        wl = Atomic.make false;
-        sleep = (fun () -> P.sleep pool 0.0002);
+        wl = Gate.create park;
+        park;
         closed = Atomic.make false;
-        demux_done = Atomic.make false;
+        demux_done = Promise.create ();
       }
     in
     ignore
       (P.async pool (fun () ->
            Fun.protect
-             ~finally:(fun () -> Atomic.set c.demux_done true)
+             ~finally:(fun () -> Promise.fulfill c.demux_done (Ok ()))
              (fun () -> demux c))
         : unit Promise.t);
     c
@@ -1315,23 +1219,13 @@ module Client = struct
   (* The wire order of requests must equal the FIFO order of promises —
      that is the whole demultiplexing scheme — so the enqueue and the
      write happen under one lock, held across the (possibly parking)
-     write.  Thread-agnostic flag lock, as everywhere a fiber can
-     migrate workers mid-critical-section. *)
+     write. *)
   let call c ?headers ?body ~meth ~target () =
     if Atomic.get c.closed then raise Net.Closed;
     let iov = request_iov ?headers ?body ~meth ~target () in
     let p = Promise.create () in
     let entry = { e_promise = p; e_head_only = meth = "HEAD" } in
-    let rec acquire () =
-      if not (Atomic.compare_and_set c.wl false true) then begin
-        c.sleep ();
-        acquire ()
-      end
-    in
-    acquire ();
-    Fun.protect
-      ~finally:(fun () -> Atomic.set c.wl false)
-      (fun () ->
+    Gate.with_lock c.wl (fun () ->
         if Atomic.get c.closed then raise Net.Closed;
         Mutex.lock c.q_mu;
         Queue.push entry c.q;
@@ -1347,9 +1241,7 @@ module Client = struct
       Conn.close c.conn;
       fail_all c Net.Closed
     end;
-    while not (Atomic.get c.demux_done) do
-      c.sleep ()
-    done
+    Gate.await c.park c.demux_done
 
   let call_sync conn ?headers ?body ~meth ~target () =
     Conn.writev_all conn (request_iov ?headers ?body ~meth ~target ());

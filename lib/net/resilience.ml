@@ -216,25 +216,23 @@ let dial rt ?read_timeout ?write_timeout addr =
 (* --- reconnecting pipelined client --- *)
 
 module Client = struct
-  type 'p inner = {
-    pool_sleep : float -> unit;
+  type inner = {
     rt : Reactor.t;
     addr : Unix.sockaddr;
     policy : Retry.policy;
     breaker : Breaker.t option;
     read_timeout : float option;
     write_timeout : float option;
-    (* Same thread-agnostic lock idiom as Rpc's wlock: the holder may
-       suspend (dialing, or racing a close) and resume on another
-       worker, so an OS mutex cannot guard [cur]. *)
-    lock : bool Atomic.t;
+    (* The holder may park (dialing, or racing a close) and resume on
+       another worker, so an OS mutex cannot guard [cur]. *)
+    lock : Gate.t;
     mutable cur : Rpc.Client.t option;
     reconnect_count : int Atomic.t;
     dialed_once : bool Atomic.t;
     closed : bool Atomic.t;
   }
 
-  type t = C : (module Pool_intf.POOL with type t = 'p) * 'p * 'p inner -> t
+  type t = C : (module Pool_intf.POOL with type t = 'p) * 'p * inner -> t
 
   let create (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       ?(policy = Retry.policy ()) ?breaker ?read_timeout ?write_timeout addr =
@@ -242,36 +240,25 @@ module Client = struct
       ( (module P),
         pool,
         {
-          pool_sleep = (fun d -> P.sleep pool d);
           rt;
           addr;
           policy;
           breaker;
           read_timeout;
           write_timeout;
-          lock = Atomic.make false;
+          lock = Gate.create (P.suspend pool);
           cur = None;
           reconnect_count = Atomic.make 0;
           dialed_once = Atomic.make false;
           closed = Atomic.make false;
         } )
 
-  let with_lock st f =
-    let rec acquire () =
-      if not (Atomic.compare_and_set st.lock false true) then begin
-        st.pool_sleep 0.0002;
-        acquire ()
-      end
-    in
-    acquire ();
-    Fun.protect ~finally:(fun () -> Atomic.set st.lock false) f
-
   (* Reuse the live connection or dial a fresh one.  Dial failures
      (ECONNREFUSED and friends) escape to the retry loop as ordinary
      retryable attempt failures. *)
   let acquire_client (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) st
       =
-    with_lock st (fun () ->
+    Gate.with_lock st.lock (fun () ->
         if Atomic.get st.closed then raise Net.Closed;
         match st.cur with
         | Some cl -> cl
@@ -289,7 +276,7 @@ module Client = struct
      dials fresh.  Guarded so concurrent failures on the same client
      drop it once, and a client installed by a faster retry survives. *)
   let drop_client st cl =
-    with_lock st (fun () ->
+    Gate.with_lock st.lock (fun () ->
         match st.cur with
         | Some c when c == cl -> st.cur <- None
         | _ -> ());
@@ -297,7 +284,7 @@ module Client = struct
 
   let call (C ((module P), pool, st)) payload =
     if Atomic.get st.closed then raise Net.Closed;
-    Retry.run ~sleep:st.pool_sleep ?breaker:st.breaker st.policy (fun _attempt ->
+    Retry.run ~sleep:(P.sleep pool) ?breaker:st.breaker st.policy (fun _attempt ->
         let cl = acquire_client (module P) pool st in
         match P.await pool (Rpc.Client.call cl payload) with
         | v -> v
@@ -307,10 +294,11 @@ module Client = struct
 
   let close (C (_, _, st)) =
     if Atomic.compare_and_set st.closed false true then
-      let cl = with_lock st (fun () ->
-          let c = st.cur in
-          st.cur <- None;
-          c)
+      let cl =
+        Gate.with_lock st.lock (fun () ->
+            let c = st.cur in
+            st.cur <- None;
+            c)
       in
       Option.iter Rpc.Client.close cl
 

@@ -9,88 +9,21 @@ module Promise = Lhws_runtime.Promise
 
 let max_frame = 8 * 1024 * 1024
 
-(* Frame writes must be atomic even though responses (and pipelined
-   requests) come from many concurrent tasks.  An OS mutex cannot protect
-   the write: the holder can park mid-write (EAGAIN -> reactor wait) and
-   its continuation is re-injected as a stealable task, so the fiber may
-   resume — and unlock — on a different worker thread, which the
-   error-checking [Mutex.unlock] rejects.  Instead the lock is a
-   thread-agnostic atomic flag: claimed by compare-and-set, released by a
-   plain set (valid from any thread), with the pool's sleep as the yield
-   so a spinning worker keeps scheduling other tasks. *)
-type wlock = { locked : bool Atomic.t; sleep : unit -> unit }
+(* One frame write, atomic on the wire, from any number of concurrent
+   tasks.  Batched reactor: through the combining {!Outbox}, in arrival
+   order (ids let the client demultiplex).  Legacy/blocking reactor: the
+   pre-batching shape, the whole (still vectored, still copy-free) frame
+   written under a parked lock, so the NET3 comparison leg measures the
+   old syscall behaviour. *)
+type writer = Combined of Outbox.t | Locked of Gate.t
 
-let make_wlock sleep = { locked = Atomic.make false; sleep }
+let writer park conn =
+  if Conn.batched conn then Combined (Outbox.create park) else Locked (Gate.create park)
 
-let with_wlock l f =
-  let rec acquire () =
-    if not (Atomic.compare_and_set l.locked false true) then begin
-      l.sleep ();
-      acquire ()
-    end
-  in
-  acquire ();
-  Fun.protect ~finally:(fun () -> Atomic.set l.locked false) f
-
-(* --- the combining outbox ---
-
-   On a batched reactor, frame atomicity comes from a combining queue
-   instead of serialized whole-frame writes: a writer pushes its frame
-   (an iov, no copy) onto a Treiber stack and whichever writer claims
-   the lock flushes {e everything} queued as a single [Conn.writev_all]
-   — so [k] concurrent responses (or pipelined requests) cost one
-   gathering syscall, not [k].  Each frame carries its own outcome cell;
-   a writer loops — claim the lock and flush, or sleep — until its cell
-   resolves, so no frame is ever abandoned and a flush failure reaches
-   exactly the writers whose frames were in that batch. *)
-
-type fstate = Fpending | Fdone | Ffailed of exn
-
-type outbox = {
-  q : (Bytes.t list * fstate Atomic.t) list Atomic.t;  (* push order reversed *)
-  wl : wlock;
-}
-
-let make_outbox sleep = { q = Atomic.make []; wl = make_wlock sleep }
-
-let flush_outbox ob conn =
-  match List.rev (Atomic.exchange ob.q []) with
-  | [] -> ()
-  | frames -> (
-      let iov = List.concat_map fst frames in
-      match Conn.writev_all conn iov with
-      | () -> List.iter (fun (_, st) -> Atomic.set st Fdone) frames
-      | exception e -> List.iter (fun (_, st) -> Atomic.set st (Ffailed e)) frames)
-
-let send_combined ob conn iov =
-  let st = Atomic.make Fpending in
-  let rec push () =
-    let cur = Atomic.get ob.q in
-    if not (Atomic.compare_and_set ob.q cur ((iov, st) :: cur)) then push ()
-  in
-  push ();
-  let rec resolve () =
-    match Atomic.get st with
-    | Fdone -> ()
-    | Ffailed e -> raise e
-    | Fpending ->
-        if Atomic.compare_and_set ob.wl.locked false true then
-          Fun.protect
-            ~finally:(fun () -> Atomic.set ob.wl.locked false)
-            (fun () -> flush_outbox ob conn)
-        else ob.wl.sleep ();
-        resolve ()
-  in
-  resolve ()
-
-(* One frame write, atomic on the wire.  Batched reactor: through the
-   combining outbox.  Legacy/blocking reactor: the pre-batching shape —
-   hold the lock for the whole (still vectored, still copy-free) frame
-   write — so the NET3 comparison leg measures the old syscall
-   behaviour. *)
-let write_frame ob conn iov =
-  if Conn.batched conn then send_combined ob conn iov
-  else with_wlock ob.wl (fun () -> Conn.writev_all conn iov)
+let write_frame w conn iov =
+  match w with
+  | Combined ob -> Outbox.send ob conn iov
+  | Locked g -> Gate.with_lock g (fun () -> Conn.writev_all conn iov)
 
 let check_len len =
   if len < 0 || len > max_frame then
@@ -178,29 +111,28 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
      dispatcher so handlers are pool-pinned there while the decode loop
      (this function) stays wherever the listener put the connection.
      Everything the dispatched task touches is cross-pool safe: the
-     counters are atomics, and the write lock's sleep suspends whatever
-     fiber calls it (the handle only names the timer wheel). *)
+     counter and the writer resume parked waiters through their own
+     resume thunks, wherever they parked. *)
   let dispatch =
     match dispatch with
     | Some d -> d
     | None -> fun f -> ignore (P.async pool f : unit Lhws_runtime.Promise.t)
   in
-  let ob = make_outbox (fun () -> P.sleep pool 0.0002) in
-  let outstanding = Atomic.make 0 in
+  let park = P.suspend pool in
+  let w = writer park conn in
+  let outstanding = Gate.create park in
   let rec loop () =
-    while Atomic.get outstanding >= max_pipeline do
-      P.sleep pool 0.0002
-    done;
+    Gate.wait_below outstanding max_pipeline;
     match read_request conn with
     | None -> ()
     | Some (id, payload) ->
-        Atomic.incr outstanding;
+        Gate.enter outstanding;
         (* Each decoded request becomes a pool task: responses go out in
            completion order, ids let the client demultiplex — this is
            where packet arrival order feeds the scheduler. *)
         dispatch (fun () ->
             Fun.protect
-              ~finally:(fun () -> Atomic.decr outstanding)
+              ~finally:(fun () -> Gate.leave outstanding)
               (fun () ->
                 let status, resp =
                   match handler payload with
@@ -213,7 +145,7 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
                    broken.  Close the connection — the client sees
                    EOF and can retry on a fresh one — rather than
                    silently dropping the frame on a live socket. *)
-                try write_frame ob conn (response_frame ~id ~status resp)
+                try write_frame w conn (response_frame ~id ~status resp)
                 with Net.Closed | Net.Timeout -> Conn.close conn));
         loop ()
   in
@@ -223,9 +155,7 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
    -> ());
   (* The connection may be closed the moment we return (the listener owns
      it): let in-flight responses finish first. *)
-  while Atomic.get outstanding > 0 do
-    P.sleep pool 0.0002
-  done
+  Gate.wait_below outstanding 1
 
 let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?config
     ?dispatch addr ~handler =
@@ -237,12 +167,13 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?co
 module Client = struct
   type t = {
     conn : Conn.t;
-    ob : outbox;
+    w : writer;
+    park : Gate.park;
     pending_mu : Mutex.t;
     pending : (int, Bytes.t Promise.t) Hashtbl.t;
     next_id : int Atomic.t;
     closed : bool Atomic.t;
-    demux_done : bool Atomic.t;
+    demux_done : unit Promise.t;
   }
 
   let take_pending c id =
@@ -308,21 +239,23 @@ module Client = struct
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
     let conn = Conn.create rt ?read_timeout ?write_timeout fd in
+    let park = P.suspend pool in
     let c =
       {
         conn;
-        ob = make_outbox (fun () -> P.sleep pool 0.0002);
+        w = writer park conn;
+        park;
         pending_mu = Mutex.create ();
         pending = Hashtbl.create 32;
         next_id = Atomic.make 1;
         closed = Atomic.make false;
-        demux_done = Atomic.make false;
+        demux_done = Promise.create ();
       }
     in
     ignore
       (P.async pool (fun () ->
            Fun.protect
-             ~finally:(fun () -> Atomic.set c.demux_done true)
+             ~finally:(fun () -> Promise.fulfill c.demux_done (Ok ()))
              (fun () -> demux c)));
     c
 
@@ -340,7 +273,7 @@ module Client = struct
       ignore (take_pending c id : _ option);
       raise Net.Closed
     end;
-    (try write_frame c.ob c.conn (request_frame ~id payload)
+    (try write_frame c.w c.conn (request_frame ~id payload)
      with e ->
        ignore (take_pending c id : _ option);
        raise e);
@@ -359,9 +292,7 @@ module Client = struct
       Conn.close c.conn;  (* wakes the demux task, which fails pending *)
       fail_all c Net.Closed
     end;
-    while not (Atomic.get c.demux_done) do
-      c.ob.wl.sleep ()
-    done
+    Gate.await c.park c.demux_done
 end
 
 (* --- synchronous round-trip, for blocking pools --- *)

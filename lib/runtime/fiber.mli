@@ -19,3 +19,10 @@ val suspend : ((unit -> unit) -> unit) -> unit
 
 val yield : unit -> unit
 (** Suspend and immediately re-enqueue: lets other work run first. *)
+
+val block : ((unit -> unit) -> unit) -> unit
+(** {!suspend}'s contract for code on a plain thread: [block register]
+    hands [register] a [resume] and blocks the calling thread on a
+    mutex and condition until [resume] is called (possibly before
+    [register] returns, possibly from another thread).  The wait
+    occupies the thread, as a blocking sleep would. *)

@@ -25,7 +25,7 @@
    its deadline.
 
    Submission takes no lock (one CAS on a ring plus two atomic bumps);
-   the mutex now serializes only the pump, cancellation and the error
+   the mutex now serializes only the pump, cancellation and the stall
    sweep. *)
 
 (* What finally happened to an intent.  [Cancelled] is only delivered
@@ -61,17 +61,13 @@ type intent = {
 
 type waiter = intent
 
-(* The readiness backend seam.  [select] today; an epoll or io_uring
-   backend slots in by implementing the same contract: [add]/[remove]
-   maintain interest incrementally (satisfying the no-rebuild-per-poll
-   requirement by construction), [wait] performs one batched readiness
-   pass with zero timeout and may raise [Unix.Unix_error] ([EBADF] /
-   [EINVAL]) when the registered set is rejected wholesale — the pump
-   answers with a per-fd probe sweep. *)
+(* The readiness backend seam.  [poll] is the one implementation; an
+   epoll or io_uring backend slots in by implementing the same
+   contract: [add]/[remove] maintain interest incrementally (no rebuild
+   per pass), [wait] performs one batched readiness pass with zero
+   timeout. *)
 module type BACKEND = sig
   type t
-
-  val name : string
 
   val create : unit -> t
   val add : t -> [ `R | `W ] -> Unix.file_descr -> unit
@@ -91,10 +87,8 @@ module type BACKEND = sig
   (** One batched readiness pass (ready-to-read, ready-to-write). *)
 
   val probe : [ `R | `W ] -> Unix.file_descr -> exn option
-  (** One fd tested in isolation, with this backend's own mechanism
-      (the sweep must agree with [wait] about which descriptors the
-      backend can express at all): [Some exn] when the descriptor would
-      poison a batched pass, [None] when it is merely not ready. *)
+  (** One fd tested in isolation: [Some exn] when the descriptor is
+      bad, [None] when it is merely not ready. *)
 end
 
 (* --- poll(2) stubs (see poll_stubs.c) ---
@@ -126,51 +120,6 @@ let poll_single kind fd ~timeout_ms =
         raise (Unix.Unix_error (Unix.EBADF, "poll", ""))
       else `Ready
 
-module Select_backend : BACKEND = struct
-  (* Interest lists maintained incrementally on register/unregister —
-     the old reactor rebuilt both lists from the waiter tables on every
-     poll.  Removal is O(interest-set size), but removals happen once
-     per fd transition while polls happen once per pump iteration, so
-     the trade is the right way around. *)
-  type t = {
-    mutable rfds : Unix.file_descr list;
-    mutable wfds : Unix.file_descr list;
-  }
-
-  let create () = { rfds = []; wfds = [] }
-
-  let add t kind fd =
-    match kind with
-    | `R -> t.rfds <- fd :: t.rfds
-    | `W -> t.wfds <- fd :: t.wfds
-
-  let remove t kind fd =
-    match kind with
-    | `R -> t.rfds <- List.filter (fun fd' -> fd' <> fd) t.rfds
-    | `W -> t.wfds <- List.filter (fun fd' -> fd' <> fd) t.wfds
-
-  let armed t = t.rfds <> [] || t.wfds <> []
-  let size t = List.length t.rfds + List.length t.wfds
-
-  let wait t =
-    match Unix.select t.rfds t.wfds [] 0. with
-    | r, w, _ -> (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-
-  let name = "select"
-
-  (* A select probe, so an fd select cannot express (>= FD_SETSIZE)
-     stays an error under this backend instead of livelocking the
-     sweep: a poll-based probe would pass it, it would stay registered,
-     and every subsequent batched pass would reject the set again. *)
-  let probe kind fd =
-    let r, w = match kind with `W -> ([], [ fd ]) | `R -> ([ fd ], []) in
-    match Unix.select r w [] 0. with
-    | _ -> None
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-    | exception (Unix.Unix_error _ as e) -> Some e
-end
-
 module Poll_backend : BACKEND = struct
   (* Incrementally maintained pollfd mirror: parallel growable arrays
      plus an fd -> slot index, so [add]/[remove] are O(1) (remove swaps
@@ -184,8 +133,6 @@ module Poll_backend : BACKEND = struct
     mutable n : int;
     index : (Unix.file_descr, int) Hashtbl.t;
   }
-
-  let name = "poll"
 
   let create () =
     {
@@ -242,8 +189,8 @@ module Poll_backend : BACKEND = struct
 
   (* POLLNVAL entries are reported ready for whatever direction they
      registered: the pump then runs (or wakes) their operations, whose
-     own syscall raises EBADF — the same loud-failure contract as the
-     probe sweep, without a second syscall to find the culprit. *)
+     own syscall raises EBADF: a parked fiber fails loudly, without a
+     second syscall to find the culprit. *)
   let wait t =
     match poll_raw t.fds t.events t.revents t.n 0 with
     | 0 | -1 -> ([], [])
@@ -268,16 +215,6 @@ module Poll_backend : BACKEND = struct
     | exception (Unix.Unix_error _ as e) -> Some e
 end
 
-(* The active backend, chosen once per reactor: poll by default (no
-   descriptor ceiling — the c10k serving legs depend on it), select
-   when LHWS_BACKEND=select asks for the comparison baseline. *)
-type backend = B : (module BACKEND with type t = 'b) * 'b -> backend
-
-let make_backend () =
-  match Sys.getenv_opt "LHWS_BACKEND" with
-  | Some "select" -> B ((module Select_backend), Select_backend.create ())
-  | _ -> B ((module Poll_backend), Poll_backend.create ())
-
 type waiters = (Unix.file_descr, waiter list ref) Hashtbl.t
 
 (* Keep readiness-pass frequency amortized in batched mode: the pass is
@@ -293,7 +230,7 @@ type waiters = (Unix.file_descr, waiter list ref) Hashtbl.t
    load) burns the whole core in the kernel.  At 0.2 us per registered
    fd the steady-state polling duty cycle stays bounded regardless of
    scale, while small interest sets keep the 50 us floor. *)
-let select_pacing_s = 0.00005
+let base_pacing_s = 0.00005
 let per_fd_pacing_s = 2e-7
 
 let ring_count = 8 (* power of two; rings are indexed by domain id *)
@@ -302,7 +239,7 @@ type t = {
   mu : Mutex.t;
   readers : waiters;
   writers : waiters;
-  backend : backend;
+  backend : Poll_backend.t;
   rings : intent list Atomic.t array;  (* per-worker submission rings *)
   npending : int Atomic.t;  (* intents submitted, not yet decided *)
   syscalls : int Atomic.t;  (* kernel I/O calls made through this reactor *)
@@ -326,7 +263,7 @@ let create ?(legacy = false) () =
     mu = Mutex.create ();
     readers = Hashtbl.create 16;
     writers = Hashtbl.create 16;
-    backend = make_backend ();
+    backend = Poll_backend.create ();
     rings = Array.init ring_count (fun _ -> Atomic.make []);
     npending = Atomic.make 0;
     syscalls = Atomic.make 0;
@@ -338,13 +275,6 @@ let create ?(legacy = false) () =
   }
 
 let is_legacy t = t.legacy
-let backend_name t = match t.backend with B ((module B), _) -> B.name
-let bk_add t kind fd = match t.backend with B ((module B), b) -> B.add b kind fd
-let bk_remove t kind fd = match t.backend with B ((module B), b) -> B.remove b kind fd
-let bk_armed t = match t.backend with B ((module B), b) -> B.armed b
-let bk_size t = match t.backend with B ((module B), b) -> B.size b
-let bk_wait t = match t.backend with B ((module B), b) -> B.wait b
-let bk_probe t kind fd = match t.backend with B ((module B), _) -> B.probe kind fd
 let syscalls t = Atomic.get t.syscalls
 let count_syscall t = Atomic.incr t.syscalls
 let pending t = Atomic.get t.npending
@@ -361,7 +291,7 @@ let register_locked t w =
   | Some l -> l := w :: !l
   | None ->
       Hashtbl.add tbl w.ifd (ref [ w ]);
-      bk_add t w.ikind w.ifd
+      Poll_backend.add t.backend w.ikind w.ifd
 
 (* Detach every armed waiter on [fd], marking them [Claimed]: the caller
    (the pump) owns them and must decide each one.  Owner of [t.mu]. *)
@@ -377,7 +307,7 @@ let take_all_locked t kind fd =
           w.iregistered <- false)
         ws;
       Hashtbl.remove tbl fd;
-      bk_remove t kind fd;
+      Poll_backend.remove t.backend kind fd;
       ws
 
 (* --- submission: the lock-free fiber-side entry point --- *)
@@ -429,7 +359,7 @@ let detach_locked t w =
       match List.filter (fun w' -> w' != w) !l with
       | [] ->
           Hashtbl.remove tbl w.ifd;
-          bk_remove t w.ikind w.ifd
+          Poll_backend.remove t.backend w.ikind w.ifd
       | rest -> l := rest)
 
 let cancel t w =
@@ -524,38 +454,6 @@ let drain_rings_locked t =
           (Atomic.exchange r []))
     t.rings
 
-(* A descriptor the backend rejects wholesale (closed under a parked
-   fiber -> EBADF, or beyond FD_SETSIZE -> EINVAL) poisons the whole
-   readiness pass without naming itself.  Probe each registered fd
-   alone: the ones that still fail get their waiters completed with the
-   exception — a parked fiber must fail loudly, never park forever. *)
-let sweep_bad t =
-  Mutex.lock t.mu;
-  let rfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.readers [] in
-  let wfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.writers [] in
-  Mutex.unlock t.mu;
-  let probe kind fds =
-    List.filter_map
-      (fun fd ->
-        count_syscall t;
-        match bk_probe t kind fd with None -> None | Some e -> Some (fd, e))
-      fds
-  in
-  let bad_r = probe `R rfds in
-  let bad_w = probe `W wfds in
-  Mutex.lock t.mu;
-  let victims =
-    List.concat_map
-      (fun (fd, e) -> List.map (fun w -> (w, e)) (take_all_locked t `R fd))
-      bad_r
-    @ List.concat_map
-        (fun (fd, e) -> List.map (fun w -> (w, e)) (take_all_locked t `W fd))
-        bad_w
-  in
-  Mutex.unlock t.mu;
-  List.iter (fun (w, e) -> deliver t w (Error e)) victims;
-  List.length victims
-
 let poll t =
   (* 1. Drain the submission rings into the registration table. *)
   let fresh = Array.exists (fun r -> Atomic.get r != []) t.rings in
@@ -564,20 +462,20 @@ let poll t =
     drain_rings_locked t;
     Mutex.unlock t.mu
   end;
-  if Atomic.get t.npending = 0 || not (bk_armed t) then 0
+  if Atomic.get t.npending = 0 || not (Poll_backend.armed t.backend) then 0
   else begin
     (* 2. One batched readiness pass — paced by wall clock and scaled by
        the registered-set size, so neither an idle-spinning pump nor a
        saturated one burns a full-set walk per loop iteration. *)
     let now = Unix.gettimeofday () in
     let interval =
-      select_pacing_s +. (float_of_int (bk_size t) *. per_fd_pacing_s)
+      base_pacing_s +. (float_of_int (Poll_backend.size t.backend) *. per_fd_pacing_s)
     in
     if (not t.legacy) && now -. t.last_pass < interval then 0
     else begin
       t.last_pass <- now;
       count_syscall t;
-      match bk_wait t with
+      match Poll_backend.wait t.backend with
       | [], [] -> 0
       | ready_r, ready_w -> (
           Mutex.lock t.mu;
@@ -589,7 +487,6 @@ let poll t =
           (* 3. Execute the ready operations right here and deliver the
              completions; re-armed intents go back without a wake-up. *)
           List.fold_left (fun acc w -> acc + execute t w) 0 ws)
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> sweep_bad t
     end
   end
 
@@ -617,8 +514,7 @@ let oldest_parked_ms t =
 
    - {e stale registration}: [Armed], registered, but the backend's
      probe rejects the fd.  The batched pass protects against this for
-     select (wholesale EBADF -> [sweep_bad]) and poll (POLLNVAL reported
-     ready), but an epoll-style backend silently forgets closed fds —
+     poll (POLLNVAL reported ready), but an epoll-style backend silently forgets closed fds —
      this age-gated probe keeps the parked-fiber-fails-loudly invariant
      backend-independent.  Always delivered (the real [Unix_error]),
      whatever [fail] says: a bad descriptor is an error, not a warning.
@@ -694,7 +590,7 @@ let sweep_stalled t ~grace ?probe_every ~fail () =
   List.iter
     (fun w ->
       count_syscall t;
-      match bk_probe t w.ikind w.ifd with
+      match Poll_backend.probe w.ikind w.ifd with
       | None -> keep := w :: !keep
       | Some e ->
           Mutex.lock t.mu;

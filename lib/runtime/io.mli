@@ -6,7 +6,7 @@
     submission rings.  The worker that wins the pool's pump election
     drains the rings, registers the intents against an incrementally
     maintained interest set, issues {e one} batched readiness pass per
-    pump (see {!BACKEND}; [select] today), executes the ready
+    pump (see {!BACKEND}; [poll(2)]), executes the ready
     operations directly, and delivers completions through the
     callbacks, which resume fibers over the pools' existing MPSC
     resume channels.  Register {!poll} with
@@ -17,12 +17,9 @@
     blocking baseline simply issues blocking reads/writes instead —
     that is the comparison the paper draws.
 
-    Descriptor errors are surfaced, never swallowed: when the backend
-    rejects the registered set (a waiter's fd was closed — [EBADF] — or
-    exceeds [FD_SETSIZE] — [EINVAL]), {!poll} probes each fd in
-    isolation and completes the offending fds' intents with the
-    [Unix.Unix_error]; the blocking-wait entry points re-raise it in
-    the parked fiber. *)
+    Descriptor errors are surfaced, never swallowed: a waiter whose fd
+    was closed under it is reported ready ([POLLNVAL]), so its own
+    syscall raises the [Unix.Unix_error] in the parked fiber. *)
 
 type t
 
@@ -42,17 +39,12 @@ val is_legacy : t -> bool
     called once per (fd, direction) transition — never per poll) and one
     batched zero-timeout readiness pass ([wait]).
 
-    Two implementations exist.  The default is a [poll(2)] C stub with
-    an incrementally maintained pollfd mirror — no descriptor ceiling,
-    which the 10k-connection HTTP serving legs require.  [select]
-    remains available as a comparison baseline via [LHWS_BACKEND=select]
-    in the environment; it caps descriptor {e numbers} at [FD_SETSIZE]
-    (1024). *)
+    The one implementation is a [poll(2)] C stub with an incrementally
+    maintained pollfd mirror — no descriptor ceiling, which the
+    10k-connection HTTP serving legs require. *)
 
 module type BACKEND = sig
   type t
-
-  val name : string
 
   val create : unit -> t
 
@@ -65,18 +57,12 @@ module type BACKEND = sig
       entries, so the pump paces its passes proportionally. *)
 
   val wait : t -> Unix.file_descr list * Unix.file_descr list
-  (** May raise [Unix.Unix_error (EBADF | EINVAL, _, _)] to reject the
-      whole set; {!poll} recovers with a per-fd probe sweep. *)
+  (** One zero-timeout pass: the ready-to-read and ready-to-write fds. *)
 
   val probe : [ `R | `W ] -> Unix.file_descr -> exn option
-  (** Tests one fd with this backend's own mechanism — the recovery
-      sweep must agree with [wait] about which descriptors the backend
-      can express at all.  [Some exn] marks an fd that would poison a
-      batched pass; [None] means merely not ready. *)
+  (** Tests one fd alone (the watchdog's stale-registration probe):
+      [Some exn] marks a bad fd; [None] means merely not ready. *)
 end
-
-val backend_name : t -> string
-(** ["poll"] or ["select"], for logging and bench records. *)
 
 (** {1 Descriptor-scale helpers}
 
@@ -217,7 +203,7 @@ val pending : t -> int
 
 val syscalls : t -> int
 (** Kernel I/O calls issued through this reactor so far: readiness
-    passes, probe sweeps, and every operation counted via
+    passes, stall-sweep probes, and every operation counted via
     {!count_syscall}.  Feeds the pools' [io_syscalls] stats counter. *)
 
 val count_syscall : t -> unit

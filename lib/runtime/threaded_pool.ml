@@ -133,27 +133,9 @@ let async t f =
   p
 
 let await _t p =
-  match Promise.poll p with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None ->
-      let mu = Mutex.create () in
-      let cond = Condition.create () in
-      let ready = ref false in
-      let wake () =
-        Mutex.lock mu;
-        ready := true;
-        Condition.signal cond;
-        Mutex.unlock mu
-      in
-      if Promise.add_waiter p wake then begin
-        Mutex.lock mu;
-        while not !ready do
-          Condition.wait cond mu
-        done;
-        Mutex.unlock mu
-      end;
-      Promise.get_exn p
+  if not (Promise.is_resolved p) then
+    Fiber.block (fun resume -> if not (Promise.add_waiter p resume) then resume ());
+  Promise.get_exn p
 
 let shutdown t =
   Mutex.lock t.mu;

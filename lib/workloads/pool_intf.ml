@@ -9,6 +9,7 @@ module type POOL = sig
   val await : t -> 'a Lhws_runtime.Promise.t -> 'a
   val fork2 : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
   val sleep : t -> float -> unit
+  val suspend : t -> ((unit -> unit) -> unit) -> unit
   val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
 
   val parallel_map_reduce :
@@ -40,6 +41,7 @@ module Lhws_instance = struct
 
   (* Lhws_pool's await suspends the fiber and needs no pool handle. *)
   let await _t p = await p
+  let suspend _t register = Lhws_runtime.Fiber.suspend register
 
   let scavenge_source t = Some (Lhws_runtime.Lhws_pool.scavenge_source t)
 
@@ -53,6 +55,7 @@ module Ws_instance = struct
 
   let create ?name ?workers () = create ?name ?workers ()
   let name = "ws"
+  let suspend _t register = Lhws_runtime.Fiber.block register
   let scavenge_source t = Some (Lhws_runtime.Ws_pool.scavenge_source t)
 
   let set_scavenge t ?mode src =
@@ -111,6 +114,7 @@ module Threaded_instance = struct
     parallel_map_reduce t ?grain:None ~lo ~hi ~map ~combine ~id
 
   let name = "threads"
+  let suspend _t register = Lhws_runtime.Fiber.block register
 
   (* A thread-per-task pool has no queued-but-unstarted work to steal
      (tasks become threads immediately), and its threads never idle-loop,

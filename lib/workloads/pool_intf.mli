@@ -31,6 +31,21 @@ module type POOL = sig
 
   val fork2 : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
   val sleep : t -> float -> unit
+
+  val suspend : t -> ((unit -> unit) -> unit) -> unit
+  (** [suspend t register] parks the caller until the [resume] thunk
+      handed to [register] is called.  [register] runs exactly once, on
+      the calling thread, before the caller parks; [resume] must be
+      called exactly once, from any thread, and may be called before
+      [register] returns.  This is the one way [lib/net] waits for an
+      event (a lock hand-off, a flushed frame, a drained counter)
+      instead of polling on a timer.  On the latency-hiding pool it is
+      {!Lhws_runtime.Fiber.suspend}: the worker keeps running other
+      fibers.  On the blocking and thread-per-task pools it is
+      {!Lhws_runtime.Fiber.block}: the thread waits on a condition
+      variable, at the cost of a blocking sleep, and never enters the
+      work-stealing pool's helping [await]. *)
+
   val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
 
   val parallel_map_reduce :

@@ -83,6 +83,37 @@ module Conformance (Pool : Pool_intf.POOL) = struct
         Alcotest.(check bool) (Printf.sprintf "slept %.3fs >= %.3fs" dt d) true (dt >= d *. 0.9);
         Alcotest.(check unit) "sleep 0 is a no-op" () (Pool.run p (fun () -> Pool.sleep p 0.)))
 
+  let test_suspend_released_once () =
+    (* A task parked with [suspend] stays parked until another task
+       calls its resume, then continues exactly once. *)
+    with_pool (fun p ->
+        let slot = Atomic.make None in
+        let registered = Atomic.make 0 and after = Atomic.make 0 in
+        Pool.run p (fun () ->
+            let waiter =
+              Pool.async p (fun () ->
+                  Pool.suspend p (fun resume ->
+                      Atomic.incr registered;
+                      Atomic.set slot (Some resume));
+                  Atomic.incr after)
+            in
+            let rec release () =
+              match Atomic.get slot with
+              | None ->
+                  Pool.sleep p 0.001;
+                  release ()
+              | Some resume ->
+                  Pool.sleep p 0.01;
+                  Alcotest.(check int) "parked until resumed" 0 (Atomic.get after);
+                  resume ()
+            in
+            release ();
+            Pool.await p waiter;
+            (* A resume called before [register] returns is not lost. *)
+            Pool.suspend p (fun resume -> resume ()));
+        Alcotest.(check int) "register ran once" 1 (Atomic.get registered);
+        Alcotest.(check int) "resumed exactly once" 1 (Atomic.get after))
+
   let burn_some p =
     ignore
       (Pool.run p (fun () ->
@@ -383,6 +414,7 @@ module Conformance (Pool : Pool_intf.POOL) = struct
       Alcotest.test_case "parallel_for coverage" `Quick test_parallel_for_covers_range;
       Alcotest.test_case "map_reduce" `Quick test_parallel_map_reduce;
       Alcotest.test_case "sleep at least" `Quick test_sleep_at_least;
+      Alcotest.test_case "suspend released once" `Quick test_suspend_released_once;
       Alcotest.test_case "stats monotone" `Quick test_stats_monotone;
       Alcotest.test_case "steal stats consistent" `Quick test_steal_stats_consistent;
       Alcotest.test_case "submit is pinned" `Quick test_submit_pinned;

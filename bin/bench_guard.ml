@@ -19,6 +19,9 @@
      the current p99 exceeds baseline * 2 plus a 2 ms absolute grace —
      the "batched reactor must not trade tail latency for syscall count"
      check, with margins sized for loopback timings on a shared runner;
+   - samples carrying a [batched_syscalls_per_op_x100] counter (NET3):
+     fail when the current count exceeds baseline * 1.25 — the batched
+     reactor's kernel-crossing budget per request;
    - http_* samples carrying a [throughput_rps] counter: fail when the
      current req/s drops below baseline * 0.8 — the serving-layer
      regression pin for the keep-alive and mixed-topology legs;
@@ -199,6 +202,7 @@ type sample = {
   p99_us : float option;  (* from the nested counters object, when present *)
   throughput_rps : float option;  (* likewise *)
   mean_us : float option;  (* likewise *)
+  syscalls_x100 : float option;  (* likewise: [batched_syscalls_per_op_x100] *)
 }
 
 let field k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
@@ -223,6 +227,11 @@ let samples_of_file path =
         (fun item ->
           match (as_str (field "scenario" item), as_str (field "pool" item)) with
           | Some scenario, Some pool ->
+              let counter k =
+                match field "counters" item with
+                | Some counters -> as_num (field k counters)
+                | None -> None
+              in
               Some
                 {
                   scenario;
@@ -233,18 +242,10 @@ let samples_of_file path =
                     | None -> 0);
                   wall_s = as_num (field "wall_s" item);
                   speedup = as_num (field "speedup" item);
-                  p99_us =
-                    (match field "counters" item with
-                    | Some counters -> as_num (field "p99_us" counters)
-                    | None -> None);
-                  throughput_rps =
-                    (match field "counters" item with
-                    | Some counters -> as_num (field "throughput_rps" counters)
-                    | None -> None);
-                  mean_us =
-                    (match field "counters" item with
-                    | Some counters -> as_num (field "mean_us" counters)
-                    | None -> None);
+                  p99_us = counter "p99_us";
+                  throughput_rps = counter "throughput_rps";
+                  mean_us = counter "mean_us";
+                  syscalls_x100 = counter "batched_syscalls_per_op_x100";
                 }
           | _ -> None)
         items
@@ -308,6 +309,21 @@ let () =
                 report "ok" b
                   (Printf.sprintf "throughput %.0f req/s (baseline %.0f)" cr br)
           | _ -> ());
+          (match (b.syscalls_x100, c.syscalls_x100) with
+          | Some bs, Some cs ->
+              incr checked;
+              let limit = bs *. threshold in
+              if cs > limit then begin
+                incr failures;
+                report "FAIL" b
+                  (Printf.sprintf "syscalls/op %.2f > %.2f (baseline %.2f * %.2f)"
+                     (cs /. 100.) (limit /. 100.) (bs /. 100.) threshold)
+              end
+              else
+                report "ok" b
+                  (Printf.sprintf "syscalls/op %.2f (baseline %.2f)" (cs /. 100.)
+                     (bs /. 100.))
+          | _ -> ());
           (match (b.p99_us, c.p99_us) with
           | Some bp, Some cp
             when has_prefix "net_echo" b.scenario || has_prefix "http_" b.scenario ->
@@ -352,7 +368,8 @@ let () =
                   (Printf.sprintf "speedup %.3f < baseline %.3f / %.2f" cs bs th)
               end
               else report "ok" b (Printf.sprintf "speedup %.3f (baseline %.3f)" cs bs)
-          | _ -> (
+          | Some _, None -> report "SKIP" b "baseline speedup, none in current run"
+          | None, _ -> (
               if has_prefix "contention_resume_storm" b.scenario then
                 match (b.wall_s, c.wall_s) with
                 | Some bw, Some cw ->

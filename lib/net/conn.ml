@@ -58,7 +58,6 @@ let create rt ?read_timeout ?write_timeout fd =
 let fd t = t.fd
 let is_closed t = Atomic.get t.closed
 let last_active t = t.last_active
-let batched t = Reactor.is_batched t.rt
 
 (* Drop one reference; the last one out actually closes the fd.  The
    [fd_closed] CAS keeps a late arrival (an [enter] that raced past a

@@ -18,7 +18,6 @@ val fibers :
     unit) ->
   ?fault:Fault.t ->
   ?watchdog:Lhws_runtime.Watchdog.t ->
-  ?legacy:bool ->
   unit ->
   t
 (** Builds a fiber-mode reactor: a fresh {!Lhws_runtime.Io.t} plus a
@@ -34,22 +33,14 @@ val fibers :
     {!Lhws_runtime.Io.t} is attached to it, so lost wakeups and stale
     fd registrations fail loudly (see {!Lhws_runtime.Watchdog}).  Pair
     with the pool-side [register_watchdog] for heartbeat coverage and
-    stats/tracing integration.  [legacy:true] selects the pre-batching
-    wait-then-retry reactor (readiness wakes the fiber, which reissues
-    its own syscall; no pump-side execution, no paced readiness pass) —
-    the comparison leg of the NET3 bench. *)
+    stats/tracing integration. *)
 
 val blocking : ?fault:Fault.t -> unit -> t
-(** Blocking mode: waits are [select] calls with the deadline as
-    timeout, reads/writes plain syscalls.  For the WS and thread pools. *)
+(** Blocking mode: waits are poll(2) calls on the one descriptor with
+    the deadline as timeout, reads/writes plain syscalls.  For the WS
+    and thread pools. *)
 
 val is_fibers : t -> bool
-
-val is_batched : t -> bool
-(** Fiber mode with the batched submission/completion path active
-    (i.e. not [legacy], not blocking).  Upper layers use this to enable
-    optimizations that only pay off with batching, such as {!Rpc}'s
-    frame-coalescing writes. *)
 
 val fault : t -> Fault.t option
 (** The attached fault plane, if any. *)
@@ -58,14 +49,6 @@ val sleep : t -> float -> unit
 (** Sleeps without holding a worker in fiber mode (the fiber parks on
     the reactor's deadline timer); plain [Unix.sleepf] in blocking mode.
     Used for injected latency and retry backoff. *)
-
-val wait_readable : t -> ?deadline:float -> Unix.file_descr -> unit
-(** Waits until the descriptor is readable.  [deadline] is absolute
-    ([Unix.gettimeofday] seconds).
-    @raise Net.Timeout when the deadline passes first.
-    @raise Unix.Unix_error when the descriptor turns bad while parked. *)
-
-val wait_writable : t -> ?deadline:float -> Unix.file_descr -> unit
 
 val run_io :
   t ->
@@ -78,6 +61,7 @@ val run_io :
 (** Drives one kernel operation through the reactor.  [exec] performs
     the operation and may raise [EAGAIN]/[EWOULDBLOCK] (would block —
     retried through the reactor) or [EINTR] (retried immediately).
+    [deadline] is absolute ([Unix.gettimeofday] seconds).
 
     Fiber mode: [exec] runs inline once first (eager completion; skip
     with [eager:false]); if it would block, an intent is submitted and

@@ -9,22 +9,6 @@ module Promise = Lhws_runtime.Promise
 
 let max_frame = 8 * 1024 * 1024
 
-(* One frame write, atomic on the wire, from any number of concurrent
-   tasks.  Batched reactor: through the combining {!Outbox}, in arrival
-   order (ids let the client demultiplex).  Legacy/blocking reactor: the
-   pre-batching shape, the whole (still vectored, still copy-free) frame
-   written under a parked lock, so the NET3 comparison leg measures the
-   old syscall behaviour. *)
-type writer = Combined of Outbox.t | Locked of Gate.t
-
-let writer park conn =
-  if Conn.batched conn then Combined (Outbox.create park) else Locked (Gate.create park)
-
-let write_frame w conn iov =
-  match w with
-  | Combined ob -> Outbox.send ob conn iov
-  | Locked g -> Gate.with_lock g (fun () -> Conn.writev_all conn iov)
-
 let check_len len =
   if len < 0 || len > max_frame then
     raise (Net.Protocol_error (Printf.sprintf "frame length %d out of range" len))
@@ -119,7 +103,10 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
     | None -> fun f -> ignore (P.async pool f : unit Lhws_runtime.Promise.t)
   in
   let park = P.suspend pool in
-  let w = writer park conn in
+  (* Frames from any number of concurrent handler tasks leave atomically
+     through the combining outbox, in completion order (ids let the
+     client demultiplex). *)
+  let outbox = Outbox.create park in
   let outstanding = Gate.create park in
   let rec loop () =
     Gate.wait_below outstanding max_pipeline;
@@ -145,7 +132,7 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
                    broken.  Close the connection — the client sees
                    EOF and can retry on a fresh one — rather than
                    silently dropping the frame on a live socket. *)
-                try write_frame w conn (response_frame ~id ~status resp)
+                try Outbox.send outbox conn (response_frame ~id ~status resp)
                 with Net.Closed | Net.Timeout -> Conn.close conn));
         loop ()
   in
@@ -167,7 +154,7 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?co
 module Client = struct
   type t = {
     conn : Conn.t;
-    w : writer;
+    outbox : Outbox.t;
     park : Gate.park;
     pending_mu : Mutex.t;
     pending : (int, Bytes.t Promise.t) Hashtbl.t;
@@ -243,7 +230,7 @@ module Client = struct
     let c =
       {
         conn;
-        w = writer park conn;
+        outbox = Outbox.create park;
         park;
         pending_mu = Mutex.create ();
         pending = Hashtbl.create 32;
@@ -273,7 +260,7 @@ module Client = struct
       ignore (take_pending c id : _ option);
       raise Net.Closed
     end;
-    (try write_frame c.w c.conn (request_frame ~id payload)
+    (try Outbox.send c.outbox c.conn (request_frame ~id payload)
      with e ->
        ignore (take_pending c id : _ option);
        raise e);

@@ -59,8 +59,6 @@ type intent = {
          connections are not probed on every sweep. *)
 }
 
-type waiter = intent
-
 (* The readiness backend seam.  [poll] is the one implementation; an
    epoll or io_uring backend slots in by implementing the same
    contract: [add]/[remove] maintain interest incrementally (no rebuild
@@ -215,9 +213,9 @@ module Poll_backend : BACKEND = struct
     | exception (Unix.Unix_error _ as e) -> Some e
 end
 
-type waiters = (Unix.file_descr, waiter list ref) Hashtbl.t
+type waiters = (Unix.file_descr, intent list ref) Hashtbl.t
 
-(* Keep readiness-pass frequency amortized in batched mode: the pass is
+(* Keep readiness-pass frequency amortized: the pass is
    paced by wall clock, and the interval grows with the registered-set
    size.  Time-based pacing is sound because eager completion already
    ran every operation once before it parked — a parked fd only becomes
@@ -244,7 +242,6 @@ type t = {
   npending : int Atomic.t;  (* intents submitted, not yet decided *)
   syscalls : int Atomic.t;  (* kernel I/O calls made through this reactor *)
   mutable last_pass : float;  (* pump-only: when the last readiness pass ran *)
-  legacy : bool;
   (* Test-only mutation hook: drop every [drop_every]-th completion on
      the floor (the fiber stays parked forever).  Exists so the chaos
      suite can prove it *detects* a lost completion — see
@@ -258,7 +255,7 @@ type t = {
   tracked : intent list Atomic.t;
 }
 
-let create ?(legacy = false) () =
+let create () =
   {
     mu = Mutex.create ();
     readers = Hashtbl.create 16;
@@ -268,13 +265,11 @@ let create ?(legacy = false) () =
     npending = Atomic.make 0;
     syscalls = Atomic.make 0;
     last_pass = 0.;
-    legacy;
     drop_every = Atomic.make 0;
     drop_tick = Atomic.make 0;
     tracked = Atomic.make [];
   }
 
-let is_legacy t = t.legacy
 let syscalls t = Atomic.get t.syscalls
 let count_syscall t = Atomic.incr t.syscalls
 let pending t = Atomic.get t.npending
@@ -336,17 +331,6 @@ let submit t ~kind ~fd ~run notify =
   let slot = (Domain.self () :> int) land (ring_count - 1) in
   ring_push t.rings.(slot) w;
   w
-
-let submit_wait t ~kind ~fd notify = submit t ~kind ~fd ~run:(fun () -> `Done) notify
-
-(* Compatibility shims for the (exn option -> unit) callback layer. *)
-let wrap_notify f = function
-  | Complete -> f None
-  | Error e -> f (Some e)
-  | Cancelled -> f None (* unreachable: nothing cancels these externally *)
-
-let add_readable t fd notify = submit_wait t ~kind:`R ~fd (wrap_notify notify)
-let add_writable t fd notify = submit_wait t ~kind:`W ~fd (wrap_notify notify)
 
 (* Remove one intent from the waiter table (it may not be there — e.g.
    still in a submission ring).  Owner of [t.mu]. *)
@@ -415,33 +399,26 @@ let deliver t w outcome =
    re-arms the intent (no completion, the fiber stays parked) unless a
    cancel arrived while we held the claim. *)
 let execute t w =
-  if t.legacy then begin
-    (* Legacy mode reproduces the wait-then-retry reactor: readiness
-       just wakes the fiber, which reissues the kernel op itself. *)
-    deliver t w Complete;
-    1
-  end
-  else
-    match w.run () with
-    | `Done ->
-        deliver t w Complete;
+  match w.run () with
+  | `Done ->
+      deliver t w Complete;
+      1
+  | `Again ->
+      Mutex.lock t.mu;
+      if w.cancel_requested then begin
+        Mutex.unlock t.mu;
+        deliver t w Cancelled;
         1
-    | `Again ->
-        Mutex.lock t.mu;
-        if w.cancel_requested then begin
-          Mutex.unlock t.mu;
-          deliver t w Cancelled;
-          1
-        end
-        else begin
-          w.istate <- Armed;
-          register_locked t w;
-          Mutex.unlock t.mu;
-          0
-        end
-    | exception e ->
-        deliver t w (Error e);
-        1
+      end
+      else begin
+        w.istate <- Armed;
+        register_locked t w;
+        Mutex.unlock t.mu;
+        0
+      end
+  | exception e ->
+      deliver t w (Error e);
+      1
 
 (* --- the pump --- *)
 
@@ -471,7 +448,7 @@ let poll t =
     let interval =
       base_pacing_s +. (float_of_int (Poll_backend.size t.backend) *. per_fd_pacing_s)
     in
-    if (not t.legacy) && now -. t.last_pass < interval then 0
+    if now -. t.last_pass < interval then 0
     else begin
       t.last_pass <- now;
       count_syscall t;
@@ -617,12 +594,12 @@ let wait_on t kind fd =
   let err = ref None in
   Fiber.suspend (fun resume ->
       ignore
-        (submit_wait t ~kind ~fd (function
+        (submit t ~kind ~fd ~run:(fun () -> `Done) (function
           | Complete | Cancelled -> resume ()
           | Error e ->
               err := Some e;
               resume ())
-          : waiter));
+          : intent));
   match !err with Some e -> raise e | None -> ()
 
 let wait_readable t fd = wait_on t `R fd
@@ -631,10 +608,10 @@ let wait_writable t fd = wait_on t `W fd
 (* --- vectored I/O shim ---
 
    ExtUnix-free: a single buffer goes straight through; several buffers
-   are coalesced into one scratch write/read, so the whole vector still
-   costs one kernel round trip (one copy stands in for the missing
-   writev(2)/readv(2) binding — this, not the call sites, is where a C
-   stub would slot in). *)
+   are coalesced into one scratch write, so the whole vector still costs
+   one kernel round trip (one copy stands in for the missing writev(2)
+   binding — this, not the call sites, is where a C stub would slot
+   in). *)
 
 module Iov = struct
   let length iovs = List.fold_left (fun acc b -> acc + Bytes.length b) 0 iovs
@@ -678,25 +655,6 @@ module Iov = struct
         in
         Unix.write fd scratch 0 total
 
-  let read fd iovs =
-    match iovs with
-    | [] -> 0
-    | [ b ] -> Unix.read fd b 0 (Bytes.length b)
-    | bs ->
-        let total = length bs in
-        let scratch = Bytes.create total in
-        let n = Unix.read fd scratch 0 total in
-        let rec scatter pos = function
-          | [] -> ()
-          | b :: rest ->
-              if pos < n then begin
-                let k = min (Bytes.length b) (n - pos) in
-                Bytes.blit scratch pos b 0 k;
-                scatter (pos + k) rest
-              end
-        in
-        scatter 0 bs;
-        n
 end
 
 (* --- blocking helpers over the wait surface ---

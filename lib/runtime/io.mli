@@ -23,13 +23,7 @@
 
 type t
 
-val create : ?legacy:bool -> unit -> t
-(** [legacy:true] reproduces the pre-batching reactor for comparison
-    benchmarks: readiness wakes the fiber instead of executing its
-    operation in the pump, and the readiness pass is never paced.
-    Default is the batched behaviour. *)
-
-val is_legacy : t -> bool
+val create : unit -> t
 
 (** {1 The backend seam}
 
@@ -148,30 +142,12 @@ val read_exactly : t -> Unix.file_descr -> bytes -> int -> unit
 val write_all : t -> Unix.file_descr -> bytes -> unit
 (** Writes the whole buffer. *)
 
-(** {1 Cancellable waiter handles}
-
-    The [(exn option -> unit)] compatibility layer over {!submit}, for
-    callers that race a readiness wait against something else (deadline
-    timers in [lib/net]).  Exactly one of these happens to a registered
-    waiter: its callback fires with [None] (ready), fires with
-    [Some exn] (fd error), or {!cancel} returns [true]. *)
-
-type waiter = intent
-
-val add_readable : t -> Unix.file_descr -> (exn option -> unit) -> waiter
-(** Registers a callback to run once when the fd is readable ([None])
-    or found bad ([Some (Unix.Unix_error _)]).  The callback runs on
-    the pumping worker, outside the reactor lock. *)
-
-val add_writable : t -> Unix.file_descr -> (exn option -> unit) -> waiter
-
 (** {1 Vectored I/O}
 
-    ExtUnix-free [writev]/[readv]: one kernel round trip for a whole
-    buffer vector.  A single buffer goes straight through; several are
-    coalesced through one scratch copy — the seam where a C
-    [writev(2)]/[readv(2)] stub would slot in without touching call
-    sites. *)
+    ExtUnix-free [writev]: one kernel round trip for a whole buffer
+    vector.  A single buffer goes straight through; several are
+    coalesced through one scratch copy — the seam where a C [writev(2)]
+    stub would slot in without touching call sites. *)
 
 module Iov : sig
   val length : Bytes.t list -> int
@@ -184,9 +160,6 @@ module Iov : sig
 
   val write : Unix.file_descr -> Bytes.t list -> int
   (** One gathering write; returns bytes written (may be short). *)
-
-  val read : Unix.file_descr -> Bytes.t list -> int
-  (** One scattering read; returns bytes read (0 at end of file). *)
 end
 
 (** {1 Polling and introspection} *)

@@ -49,9 +49,6 @@ type wrec = {
          oldest first.  Owner-only (fed and drained by this worker's own
          drain/next steps); permanently empty under [Newest_first] *)
   notified : deque list Atomic.t;  (* MPSC: deques with fresh resumes *)
-  inbox : task list Atomic.t;
-      (* MPSC: resumed tasks delivered directly to this worker under the
-         [Spread] placement (unused — always empty — under [Home_worker]) *)
   mutable empty : deque list;  (* freed deques for reuse; owner only *)
   mutable owned_live : int;
   owned_snap : deque array Atomic.t;
@@ -64,18 +61,6 @@ type wrec = {
 }
 
 type steal_policy = Global_deque | Worker_then_deque
-
-(* Where a resumed fiber's continuation is re-injected.  [Home_worker] is
-   the paper-faithful default and what every earlier version hardwired:
-   the batch goes back into the deque the fiber suspended with, on the
-   worker it last ran on — the locality-preserving choice ("Analysis of
-   Work-Stealing and Parallel Cache Complexity", arXiv 2111.04994: steals
-   dominate cache cost, so resumes should not migrate).  [Spread] instead
-   round-robins each resumed continuation across the pool's workers (it
-   lands in the target's inbox and re-enters through its active deque) —
-   the any-worker strawman, exposed so the locality claim is measurable
-   rather than assumed. *)
-type resume_placement = Home_worker | Spread
 
 let default_initial_deques = 1024
 
@@ -92,9 +77,7 @@ type pstate = {
   gtotal : int Atomic.t;
   steal_policy : steal_policy;
   steal_mode : Core.steal_mode;
-  resume_placement : resume_placement;
   resume_order : Core.resume_order;
-  spread_rr : int Atomic.t;  (* round-robin cursor for [Spread] delivery *)
   self_wid : unit -> int;
 }
 
@@ -195,21 +178,14 @@ let requeue_home p d task =
   let was_empty = mpsc_push d.resumed task in
   if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
 
+(* The continuation goes back to the deque the fiber suspended with, on
+   the worker that owns it: resumes do not migrate, which preserves
+   locality (steals, not resumes, dominate cache cost — "Analysis of
+   Work-Stealing and Parallel Cache Complexity", arXiv 2111.04994). *)
 let on_resume p d task =
-  match p.resume_placement with
-  | Home_worker ->
-      let was_empty = mpsc_push d.resumed task in
-      Atomic.decr d.suspend_ctr;
-      if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
-  | Spread ->
-      (* Any-worker delivery: the continuation goes straight to a
-         round-robin worker's inbox; its home deque only loses the
-         suspension (and may retire normally).  When the fiber suspends
-         again it pairs with wherever it is running then. *)
-      Atomic.decr d.suspend_ctr;
-      let n = Array.length p.slots in
-      let target = Atomic.fetch_and_add p.spread_rr 1 mod n in
-      ignore (mpsc_push p.slots.(target).inbox task : bool)
+  let was_empty = mpsc_push d.resumed task in
+  Atomic.decr d.suspend_ctr;
+  if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
 
 (* --- fiber execution --- *)
 
@@ -285,12 +261,24 @@ let drain_resumed p w =
         | _ -> (
             Core.mark w.ctx Tracing.Resume_batch;
             w.ctx.counters.resumes <- w.ctx.counters.resumes + List.length batch;
+            let is_active = match w.active with Some a -> a == d | None -> false in
             match p.resume_order with
             | Core.Aged_fifo ->
                 (* The continuations bypass the deque entirely, so its
                    revival bookkeeping is not needed: a freed deque with
-                   no suspensions left simply stays recycled. *)
-                List.iter (fun task -> Queue.add task w.resume_fifo) (List.rev batch)
+                   no suspensions left simply stays recycled.  A live one
+                   that is neither active nor ready was retired while it
+                   still held a suspension; nothing revisits it, so once
+                   this was its last one it is freed here — otherwise
+                   each suspend/resume round would leak a live deque. *)
+                List.iter (fun task -> Queue.add task w.resume_fifo) (List.rev batch);
+                if
+                  (not (Atomic.get d.freed))
+                  && (not is_active) && (not d.in_ready)
+                  && Atomic.get d.suspend_ctr = 0
+                  && Atomic.get d.resumed == []
+                  && Chase_lev.is_empty d.q
+                then free_deque w d
             | Core.Newest_first ->
                 if Atomic.get d.freed then unfree w d;
                 let task =
@@ -301,43 +289,11 @@ let drain_resumed p w =
                       Pinned (fun () -> pfor_exec p arr 0 (Array.length arr))
                 in
                 Chase_lev.push_bottom d.q task;
-                let is_active =
-                  match w.active with Some a -> a == d | None -> false
-                in
                 if (not is_active) && not d.in_ready then begin
                   d.in_ready <- true;
                   w.ready <- d :: w.ready
                 end))
       (List.rev notified)
-  end;
-  (* [Spread] delivery: continuations routed to this worker's inbox
-     re-enter through its active deque (allocated on demand), exactly
-     like a resume batch would through a home deque — or through the
-     FIFO lane under [Aged_fifo]. *)
-  if Atomic.get w.inbox != [] then begin
-    let batch = mpsc_drain w.inbox in
-    Core.mark w.ctx Tracing.Resume_batch;
-    w.ctx.counters.resumes <- w.ctx.counters.resumes + List.length batch;
-    match p.resume_order with
-    | Core.Aged_fifo ->
-        List.iter (fun task -> Queue.add task w.resume_fifo) (List.rev batch)
-    | Core.Newest_first ->
-        let d =
-          match w.active with
-          | Some d -> d
-          | None ->
-              let d = alloc_deque p w in
-              w.active <- Some d;
-              d
-        in
-        let task =
-          match batch with
-          | [ single ] -> single
-          | _ ->
-              let arr = Array.of_list (List.rev batch) in
-              Pinned (fun () -> pfor_exec p arr 0 (Array.length arr))
-        in
-        Chase_lev.push_bottom d.q task
   end
 
 (* Retire an exhausted active deque: free it if nothing will come back. *)
@@ -575,7 +531,6 @@ module Policy = struct
   type config = {
     steal_policy : steal_policy;
     steal_mode : Core.steal_mode;
-    resume_placement : resume_placement;
     resume_order : Core.resume_order;
     initial_deques : int;
   }
@@ -584,7 +539,6 @@ module Policy = struct
     {
       steal_policy = Global_deque;
       steal_mode = Core.Steal_one;
-      resume_placement = Home_worker;
       resume_order = Core.Newest_first;
       initial_deques = default_initial_deques;
     }
@@ -593,9 +547,8 @@ module Policy = struct
   type pool = pstate
   type wstate = wrec
 
-  let make_pool
-      { steal_policy; steal_mode; resume_placement; resume_order; initial_deques }
-      ~ctxs ~self_wid =
+  let make_pool { steal_policy; steal_mode; resume_order; initial_deques } ~ctxs
+      ~self_wid =
     let victims = Array.length ctxs in
     {
       slots =
@@ -607,7 +560,6 @@ module Policy = struct
               ready = [];
               resume_fifo = Queue.create ();
               notified = Padding.make_atomic [];
-              inbox = Padding.make_atomic [];
               empty = [];
               owned_live = 0;
               owned_snap = Padding.make_atomic [||];
@@ -619,24 +571,15 @@ module Policy = struct
       gtotal = Atomic.make 0;
       steal_policy;
       steal_mode;
-      resume_placement;
       resume_order;
-      spread_rr = Atomic.make 0;
       self_wid;
     }
 
   let worker p i = p.slots.(i)
 
   (* Any owned deque with suspended fibers (or an undrained resume batch)
-     means a resume can land at any moment: stay on the fast idle poll.
-     Under [Spread] a resume may land in this worker's inbox even when
-     its own deques are quiet (the suspension lives elsewhere); an
-     undrained inbox always keeps the fast poll, but a quiet worker can
-     still be up to the backoff cap late for the first spread-in resume —
-     acceptable for an explicitly locality-breaking placement. *)
+     means a resume can land at any moment: stay on the fast idle poll. *)
   let expects_resumes _p w =
-    Atomic.get w.inbox != []
-    ||
     let owned = Atomic.get w.owned_snap in
     let n = Array.length owned in
     let rec scan i =
@@ -666,27 +609,20 @@ module C = Core.Make (Policy)
 type t = C.t
 
 let config ?(steal_policy = Global_deque) ?(steal_mode = Core.Steal_one)
-    ?(resume_placement = Home_worker) ?(resume_order = Core.Newest_first)
-    ?(initial_deques = default_initial_deques) () =
-  { Policy.steal_policy; steal_mode; resume_placement; resume_order; initial_deques }
+    ?(resume_order = Core.Newest_first) ?(initial_deques = default_initial_deques) () =
+  { Policy.steal_policy; steal_mode; resume_order; initial_deques }
 
-let create ?name ?workers ?steal_policy ?steal_mode ?resume_placement
-    ?resume_order ?initial_deques () =
+let create ?name ?workers ?steal_policy ?steal_mode ?resume_order ?initial_deques () =
   C.create ?name ?workers
-    ~config:
-      (config ?steal_policy ?steal_mode ?resume_placement ?resume_order
-         ?initial_deques ())
+    ~config:(config ?steal_policy ?steal_mode ?resume_order ?initial_deques ())
     ()
 
 let run = C.run
 let shutdown = C.shutdown
 
-let with_pool ?name ?workers ?steal_policy ?steal_mode ?resume_placement
-    ?resume_order ?initial_deques f =
+let with_pool ?name ?workers ?steal_policy ?steal_mode ?resume_order ?initial_deques f =
   C.with_pool ?name ?workers
-    ~config:
-      (config ?steal_policy ?steal_mode ?resume_placement ?resume_order
-         ?initial_deques ())
+    ~config:(config ?steal_policy ?steal_mode ?resume_order ?initial_deques ())
     f
 
 let register_poller = C.register_poller

@@ -27,33 +27,25 @@ type steal_policy =
           failed steals, at the cost of synchronizing briefly with the
           victim. *)
 
-type resume_placement =
-  | Home_worker
-      (** The paper-faithful default: a resumed fiber's continuation is
-          re-injected into the deque it suspended with, on the worker it
-          last ran on — the locality-preserving choice. *)
-  | Spread
-      (** Any-worker strawman: each resumed continuation is round-robined
-          across the pool's workers, so the locality claim can be
-          measured rather than assumed.  A quiet worker can be up to the
-          idle-backoff cap (1 ms) late for its first spread-in resume. *)
-
 val create :
   ?name:string ->
   ?workers:int ->
   ?steal_policy:steal_policy ->
   ?steal_mode:Scheduler_core.steal_mode ->
-  ?resume_placement:resume_placement ->
   ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   unit ->
   t
 (** Spawns [workers - 1] extra domains (default: 2 workers,
-    [Global_deque], {!Scheduler_core.Steal_one}, [Home_worker],
+    [Global_deque], {!Scheduler_core.Steal_one},
     {!Scheduler_core.Newest_first}).  The
     calling domain becomes worker 0 while inside {!run}.  The instance
     registers in {!Scheduler_core.Registry} under [name] until
     {!shutdown}.
+
+    A resumed fiber's continuation always returns to the deque it
+    suspended with, on the worker that owns that deque: resumes never
+    migrate, which is the locality-preserving choice.
 
     [resume_order] is the fairness knob: [Newest_first] keeps the
     historical LIFO discipline (resume batches re-enter their home
@@ -97,7 +89,6 @@ val with_pool :
   ?workers:int ->
   ?steal_policy:steal_policy ->
   ?steal_mode:Scheduler_core.steal_mode ->
-  ?resume_placement:resume_placement ->
   ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   (t -> 'a) ->

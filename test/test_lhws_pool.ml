@@ -145,34 +145,52 @@ let test_timer_and_io_pollers_coexist () =
 let test_deque_table_growth () =
   (* Regression for the fixed-size global deque table, which used to die
      with [failwith "deque table overflow"] when allocations outran its
-     slots.  Deque ids are never reused (recycling keeps the id), so the
-     table's high-water mark is lifetime fresh allocations; [Spread]
-     resume placement allocates a fresh deque per suspend/resume round
-     (the pinned home deque is abandoned, the continuation re-enters
-     through a new one), which deterministically pushes a 2-slot table
-     through several doublings.  Every suspension must still resume and
-     the grown table must serve normal compute. *)
-  Pool.with_pool ~workers:1 ~resume_placement:Pool.Spread ~initial_deques:2
+     slots.  A 1-slot table must double at least once: under [Aged_fifo]
+     the child's resume reaches the FIFO lane while the root still holds
+     its own suspension on deque 0, so the lane task needs a fresh deque
+     to land in.  Every suspension must still resume and the grown table
+     must serve normal compute. *)
+  Pool.with_pool ~workers:1 ~resume_order:Scheduler_core.Aged_fifo ~initial_deques:1
     (fun p ->
-      let rounds = 12 in
-      let hits = ref 0 in
-      Pool.run p (fun () ->
-          for _ = 1 to rounds do
-            Pool.sleep p 0.002;
-            incr hits
-          done);
-      Alcotest.(check int) "every round crossed its suspension" rounds !hits;
+      let v =
+        Pool.run p (fun () ->
+            Pool.await
+              (Pool.async p (fun () ->
+                   Pool.sleep p 0.002;
+                   42)))
+      in
+      Alcotest.(check int) "the child crossed its suspension" 42 v;
       let st = Pool.stats p in
       Alcotest.(check bool)
         (Printf.sprintf "grew past the initial table (%d allocated)"
            st.Pool.deques_allocated)
         true
-        (st.Pool.deques_allocated > 2);
+        (st.Pool.deques_allocated > 1);
       (* The grown table serves normal compute untouched. *)
       Alcotest.(check int) "map_reduce after growth" 5050
         (Pool.run p (fun () ->
              Pool.parallel_map_reduce p ~lo:1 ~hi:101 ~map:Fun.id ~combine:( + )
                ~id:0)))
+
+let test_aged_fifo_deques_bounded () =
+  (* Lemma 7's bound in the runtime: a worker owns at most U + 1 live
+     deques.  One fiber suspending over and over has U <= 1, yet under
+     [Aged_fifo] a deque retired while it still held the suspension used
+     to stay live forever once that suspension resumed through the FIFO
+     lane — one leaked deque per round. *)
+  Pool.with_pool ~workers:1 ~resume_order:Scheduler_core.Aged_fifo (fun p ->
+      let rounds = 200 in
+      Pool.run p (fun () ->
+          for _ = 1 to rounds do
+            Pool.sleep p 0.0001
+          done);
+      let st = Pool.stats p in
+      Alcotest.(check bool)
+        (Printf.sprintf "live deques per worker stay bounded (max %d)"
+           st.Pool.max_deques_per_worker)
+        true
+        (st.Pool.max_deques_per_worker <= 2);
+      Alcotest.(check bool) "every round resumed" true (st.Pool.resumes >= rounds))
 
 let test_victim_stats_growth () =
   let module VS = Scheduler_core.Victim_stats in
@@ -368,6 +386,8 @@ let () =
         [
           Alcotest.test_case "table growth under suspension" `Quick
             test_deque_table_growth;
+          Alcotest.test_case "aged-fifo live deques bounded" `Quick
+            test_aged_fifo_deques_bounded;
           Alcotest.test_case "victim stats growth" `Quick test_victim_stats_growth;
           Alcotest.test_case "victim stats pick_foreign" `Quick
             test_victim_stats_pick_foreign;

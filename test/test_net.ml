@@ -48,33 +48,43 @@ let test_rpc_echo_load () =
 
 (* --- concurrent large frames: writers must survive parking mid-write.
        512 KiB frames overflow loopback socket buffers, so the fiber
-       holding the frame-write lock parks on EAGAIN and resumes on
+       holding the outbox's flush parks on EAGAIN and resumes on
        whichever worker steals it — an OS mutex held across that park
        would be unlocked from the wrong thread and wedge the
        connection. --- *)
 
+let large_concurrent_writes (type p) (module Pl : P.POOL with type t = p) (p : p) rt =
+  let size = 512 * 1024 in
+  let k = 8 in
+  let ok =
+    Pl.run p (fun () ->
+        let l = Rpc.serve (module Pl) p rt loopback0 ~handler:Fun.id in
+        let client = Rpc.Client.connect (module Pl) p rt (Listener.addr l) in
+        let payload i = Bytes.make size (Char.chr (Char.code 'a' + i)) in
+        let tasks =
+          List.init k (fun i ->
+              Pl.async p (fun () ->
+                  let resp = Pl.await p (Rpc.Client.call client (payload i)) in
+                  Bytes.equal resp (payload i)))
+        in
+        let ok = List.for_all (fun t -> Pl.await p t) tasks in
+        Rpc.Client.close client;
+        Listener.shutdown ~grace:5. l;
+        ok)
+  in
+  Alcotest.(check bool) "large pipelined frames all echo intact" true ok
+
 let test_rpc_large_concurrent_writes () =
-  with_lhws_net ~workers:4 (fun p rt ->
-      let module Pl = P.Lhws_instance in
-      let size = 512 * 1024 in
-      let k = 8 in
-      let ok =
-        Pl.run p (fun () ->
-            let l = Rpc.serve (module Pl) p rt loopback0 ~handler:Fun.id in
-            let client = Rpc.Client.connect (module Pl) p rt (Listener.addr l) in
-            let payload i = Bytes.make size (Char.chr (Char.code 'a' + i)) in
-            let tasks =
-              List.init k (fun i ->
-                  Pl.async p (fun () ->
-                      let resp = Pl.await p (Rpc.Client.call client (payload i)) in
-                      Bytes.equal resp (payload i)))
-            in
-            let ok = List.for_all (fun t -> Pl.await p t) tasks in
-            Rpc.Client.close client;
-            Listener.shutdown ~grace:5. l;
-            ok)
-      in
-      Alcotest.(check bool) "large pipelined frames all echo intact" true ok)
+  with_lhws_net ~workers:4 (fun p rt -> large_concurrent_writes (module P.Lhws_instance) p rt)
+
+(* The same frames on the blocking reactor: writers block in the kernel
+   instead of parking, and the outbox must still keep frames whole. *)
+let test_rpc_large_concurrent_writes_threads () =
+  let module Pt = P.Threaded_instance in
+  let p = Pt.create () in
+  Fun.protect
+    ~finally:(fun () -> Pt.shutdown p)
+    (fun () -> large_concurrent_writes (module Pt) p (Reactor.blocking ()))
 
 (* --- handler exceptions travel back as Remote_error --- *)
 
@@ -304,6 +314,8 @@ let () =
         [
           Alcotest.test_case "echo under load" `Quick test_rpc_echo_load;
           Alcotest.test_case "large concurrent frames" `Quick test_rpc_large_concurrent_writes;
+          Alcotest.test_case "large concurrent frames (threads)" `Quick
+            test_rpc_large_concurrent_writes_threads;
           Alcotest.test_case "remote error" `Quick test_rpc_remote_error;
         ] );
       ( "conn",

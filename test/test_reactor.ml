@@ -6,8 +6,6 @@
    - an EAGAIN — kernel-reported or injected — forces the park/submit
      path, the pump executes the op on readiness, and the fiber resumes
      exactly once with the result;
-   - legacy mode resumes the fiber on readiness and lets it reissue the
-     op itself, with the same exactly-once surface;
    - a deadline claims a parked intent and surfaces Net.Timeout, leaving
      io_pending drained;
    - the mutation check: a completion dropped on the floor (the bug the
@@ -22,13 +20,13 @@ module Net = Lhws_net.Net
 module Reactor = Lhws_net.Reactor
 module Conn = Lhws_net.Conn
 
-let with_rt ?(workers = 2) ?legacy f =
+let with_rt ?(workers = 2) f =
   Lhws_pool.with_pool ~workers (fun p ->
       let rt =
         Reactor.fibers
           ~register:(fun ~pending ~syscalls poll ->
             Lhws_pool.register_poller p ?pending ?syscalls poll)
-          ?legacy ()
+          ()
       in
       let module Pl = P.Lhws_instance in
       Pl.run p (fun () -> f p rt))
@@ -107,8 +105,8 @@ let test_injected_eagain_parks () =
 
 (* --- a real park: empty socket, writer fires later, one resume --- *)
 
-let run_parked_read ?legacy () =
-  with_rt ?legacy (fun p rt ->
+let test_parked_read () =
+  with_rt (fun p rt ->
       let ((a, b) as pair) = socketpair () in
       Fun.protect ~finally:(fun () -> close_both pair) @@ fun () ->
       let module Pl = P.Lhws_instance in
@@ -125,14 +123,11 @@ let run_parked_read ?legacy () =
       let n = Pl.await p reader in
       Alcotest.(check int) "one byte after the park" 1 n;
       Alcotest.(check char) "the byte" 'z' (Bytes.get buf 0);
-      (* Batched: eager EAGAIN + pump exec = 2.  Legacy: eager EAGAIN +
-         post-wake retry by the fiber itself = 2.  Either way the op ran
-         once for real and the fiber resumed once. *)
+      (* Eager EAGAIN + pump exec = 2: the op ran once for real and the
+         fiber resumed once. *)
       Alcotest.(check int) "no duplicate executions" 2 !execs;
       Alcotest.(check bool) "io_pending drains" true (drained p))
 
-let test_parked_read_batched () = run_parked_read ()
-let test_parked_read_legacy () = run_parked_read ~legacy:true ()
 
 (* --- deadline beats a never-ready intent; the intent is reclaimed --- *)
 
@@ -257,9 +252,7 @@ let () =
       ( "park",
         [
           Alcotest.test_case "pump executes on readiness (batched)" `Quick
-            test_parked_read_batched;
-          Alcotest.test_case "readiness wakes the fiber (legacy)" `Quick
-            test_parked_read_legacy;
+            test_parked_read;
           Alcotest.test_case "deadline claims a parked intent" `Quick
             test_deadline_claims_intent;
         ] );

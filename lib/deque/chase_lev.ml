@@ -153,8 +153,8 @@ let steal d =
    only index [t] — the one slot the owner can never plain-take.  So a
    correct batch over this deque reserves each element with its own CAS
    (as crossbeam's steal_batch does for LIFO workers); the win over k
-   calls to [steal] is one victim scan, one [bottom] read, and no
-   re-entry into victim selection between elements, not fewer CASes.
+   calls to [steal] is one victim scan and no re-entry into victim
+   selection between elements, not fewer CASes.
    The broken single-CAS variant is kept in the mutation suite
    (test/prop/test_stress.ml) as proof the stress battery catches it.
 
@@ -165,7 +165,16 @@ let steal d =
    to [f] are validly owned.  Each element is read from the current
    buffer before its CAS, under the same stale-buffer argument as
    [steal] (grow copies the live range; a successful CAS on [top]
-   entitles the thief to the value it read). *)
+   entitles the thief to the value it read).
+
+   Every element after the first re-reads [bottom] before touching its
+   slot, so each one is a classical steal: [top] (known, the thief's
+   own last CAS set it) read before [bottom].  The first read of
+   [bottom] only sizes the batch.  Trusting it for slot [t + i] is
+   unsound: while [top] was still [t + i - 1] the owner may have
+   plain-popped slot [t + i] (and reset it to the sentinel), and the
+   CAS [t + i -> t + i + 1] still succeeds, returning a taken element
+   or the sentinel and leaving [top] above [bottom]. *)
 let steal_half d f =
   let t = Atomic.get d.top in
   let b = Atomic.get d.bottom in
@@ -174,7 +183,7 @@ let steal_half d f =
   else begin
     let want = (n + 1) / 2 in
     let rec go i =
-      if i >= want then i
+      if i >= want || (i > 0 && t + i >= Atomic.get d.bottom) then i
       else begin
         let buf = Atomic.get d.buf in
         let x = buffer_get buf (t + i) in

@@ -47,10 +47,12 @@ val steal_half : 'a t -> ('a -> unit) -> int
     steal index — a single CAS reserving the whole range is unsound
     against the owner's unsynchronized [pop_bottom] (see the
     implementation comment) — so the batch may stop short at the first
-    lost race; elements already passed to [f] are owned exactly once.
-    The saving over repeated {!steal} is one victim scan and one
-    [bottom] read per batch, which is what matters when the steal itself
-    is the expensive operation. *)
+    lost race.  Every element after the first re-reads [bottom] before
+    its slot (the classical steal's top-then-bottom order), so the batch
+    also stops where the owner has popped down to meet it; elements
+    already passed to [f] are owned exactly once.  The saving over
+    repeated {!steal} is one victim scan per batch, which is what
+    matters when the steal itself is the expensive operation. *)
 
 val size : 'a t -> int
 (** Snapshot size; may be stale under concurrency.  Never negative. *)

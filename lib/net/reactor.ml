@@ -14,24 +14,36 @@ type t = { mode : mode; fault : Fault.t option }
 let ignore_sigpipe =
   lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
 
+(* An idle worker's wait budget, cut at this reactor's earliest
+   deadline.  The pool clamps the budget to its own timer only; this
+   reactor's deadline timer is separate, so without the cut a [Conn]
+   deadline could fall inside an in-backend wait. *)
+let until_deadline timer budget_us =
+  let hint = Timer.next_deadline_hint timer in
+  if budget_us = 0 || hint = infinity then budget_us
+  else min budget_us (max 0 (int_of_float ((hint -. Unix.gettimeofday ()) *. 1e6)))
+
 let fibers ~register ?fault ?watchdog () =
   Lazy.force ignore_sigpipe;
   let io = Io.create () in
   let timer = Timer.create () in
+  (* Pollers run last-registered-first, so the deadline timer runs right
+     after the readiness pass: a deadline that ends an idle worker's
+     wait fires in the same pump, before the worker sleeps. *)
+  register ~pending:None ~syscalls:None (fun _budget_us -> Timer.poll timer);
   register
     ~pending:(Some (fun () -> Io.pending io))
     ~syscalls:(Some (fun () -> Io.syscalls io))
-    (fun () -> Io.poll io);
-  register ~pending:None ~syscalls:None (fun () -> Timer.poll timer);
-  (* Watchdog sweep rides the same pump as Io.poll.  Registered after it,
-     and pollers run last-registered-first, so the sweep tends to run
-     before the poll pass — harmless either way: [Io.sweep_stalled]
-     drains the submission rings itself before judging intents. *)
+    (fun budget_us -> Io.poll io ~budget_us:(until_deadline timer budget_us));
+  (* Watchdog sweep rides the same pump as Io.poll.  Registered last, so
+     it runs before the poll pass — harmless either way:
+     [Io.sweep_stalled] drains the submission rings itself before
+     judging intents. *)
   (match watchdog with
   | None -> ()
   | Some wd ->
       Watchdog.attach_io wd io;
-      register ~pending:None ~syscalls:None (fun () -> Watchdog.poll wd));
+      register ~pending:None ~syscalls:None (fun _budget_us -> Watchdog.poll wd));
   { mode = Fibers { io; timer }; fault }
 
 let blocking ?fault () =

@@ -14,7 +14,7 @@ val fibers :
   register:
     (pending:(unit -> int) option ->
     syscalls:(unit -> int) option ->
-    (unit -> int) ->
+    (int -> int) ->
     unit) ->
   ?fault:Fault.t ->
   ?watchdog:Lhws_runtime.Watchdog.t ->
@@ -22,7 +22,10 @@ val fibers :
   t
 (** Builds a fiber-mode reactor: a fresh {!Lhws_runtime.Io.t} plus a
     dedicated deadline {!Lhws_runtime.Timer.t}, both handed to
-    [register] so the pool's worker loop pumps them.  Call as
+    [register] so the pool's worker loop pumps them.  The I/O poller
+    waits in the backend for an idle worker's budget, cut at the
+    deadline timer's earliest entry so deadlines are not overslept.
+    Call as
     [Reactor.fibers ~register:(fun ~pending ~syscalls poll ->
        Lhws_pool.register_poller p ?pending ?syscalls poll) ()].
     Only meaningful on suspension-capable pools.  [fault] attaches a

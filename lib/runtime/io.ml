@@ -62,8 +62,8 @@ type intent = {
 (* The readiness backend seam.  [poll] is the one implementation; an
    epoll or io_uring backend slots in by implementing the same
    contract: [add]/[remove] maintain interest incrementally (no rebuild
-   per pass), [wait] performs one batched readiness pass with zero
-   timeout. *)
+   per pass), [wait] performs one batched readiness pass that blocks
+   for at most its timeout, returning as soon as an fd turns ready. *)
 module type BACKEND = sig
   type t
 
@@ -81,8 +81,10 @@ module type BACKEND = sig
   (** Number of distinct descriptors registered — the cost driver of one
       batched pass, which the pump's pacing scales with. *)
 
-  val wait : t -> Unix.file_descr list * Unix.file_descr list
-  (** One batched readiness pass (ready-to-read, ready-to-write). *)
+  val wait : t -> timeout_us:int -> Unix.file_descr list * Unix.file_descr list
+  (** One batched readiness pass (ready-to-read, ready-to-write),
+      waiting up to [timeout_us] microseconds (0 = non-blocking) for
+      the first fd to turn ready. *)
 
   val probe : [ `R | `W ] -> Unix.file_descr -> exn option
   (** One fd tested in isolation: [Some exn] when the descriptor is
@@ -92,7 +94,8 @@ end
 (* --- poll(2) stubs (see poll_stubs.c) ---
 
    [poll_raw] drives parallel int arrays: interest bit 1 = readable,
-   2 = writable; result adds bit 4 for POLLNVAL.  Returns the number of
+   2 = writable; result adds bit 4 for POLLNVAL.  The last argument is
+   the timeout in microseconds (-1 = forever).  Returns the number of
    ready entries, or -1 for EINTR. *)
 external poll_raw :
   Unix.file_descr array -> int array -> int array -> int -> int -> int
@@ -110,7 +113,8 @@ let poll_single kind fd ~timeout_ms =
   let fds = [| fd |] in
   let events = [| (match kind with `R -> 1 | `W -> 2) |] in
   let revents = [| 0 |] in
-  match poll_raw fds events revents 1 timeout_ms with
+  let timeout_us = if timeout_ms < 0 then -1 else timeout_ms * 1000 in
+  match poll_raw fds events revents 1 timeout_us with
   | 0 -> `Timeout
   | -1 -> `Interrupted
   | _ ->
@@ -189,8 +193,8 @@ module Poll_backend : BACKEND = struct
      registered: the pump then runs (or wakes) their operations, whose
      own syscall raises EBADF: a parked fiber fails loudly, without a
      second syscall to find the culprit. *)
-  let wait t =
-    match poll_raw t.fds t.events t.revents t.n 0 with
+  let wait t ~timeout_us =
+    match poll_raw t.fds t.events t.revents t.n timeout_us with
     | 0 | -1 -> ([], [])
     | _ ->
         let r = ref [] and w = ref [] in
@@ -431,7 +435,7 @@ let drain_rings_locked t =
           (Atomic.exchange r []))
     t.rings
 
-let poll t =
+let poll t ~budget_us =
   (* 1. Drain the submission rings into the registration table. *)
   let fresh = Array.exists (fun r -> Atomic.get r != []) t.rings in
   if fresh then begin
@@ -441,18 +445,23 @@ let poll t =
   end;
   if Atomic.get t.npending = 0 || not (Poll_backend.armed t.backend) then 0
   else begin
-    (* 2. One batched readiness pass — paced by wall clock and scaled by
-       the registered-set size, so neither an idle-spinning pump nor a
-       saturated one burns a full-set walk per loop iteration. *)
+    (* 2. One batched readiness pass.  A non-blocking pass is paced by
+       wall clock and scaled by the registered-set size, so neither an
+       idle-spinning pump nor a saturated one burns a full-set walk per
+       loop iteration.  A pass with a wait budget comes from an idle
+       worker that would otherwise sleep: it runs at once and returns
+       as soon as an fd turns ready. *)
     let now = Unix.gettimeofday () in
     let interval =
       base_pacing_s +. (float_of_int (Poll_backend.size t.backend) *. per_fd_pacing_s)
     in
-    if now -. t.last_pass < interval then 0
+    if budget_us = 0 && now -. t.last_pass < interval then 0
     else begin
-      t.last_pass <- now;
       count_syscall t;
-      match Poll_backend.wait t.backend with
+      let ready = Poll_backend.wait t.backend ~timeout_us:budget_us in
+      (* A blocking pass has seen the fds up to the moment it returned. *)
+      t.last_pass <- (if budget_us = 0 then now else Unix.gettimeofday ());
+      match ready with
       | [], [] -> 0
       | ready_r, ready_w -> (
           Mutex.lock t.mu;

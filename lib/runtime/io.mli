@@ -31,7 +31,8 @@ val create : unit -> t
     an [epoll] or [io_uring] backend can slot in without touching the
     intent machinery: implement interest registration ([add]/[remove],
     called once per (fd, direction) transition — never per poll) and one
-    batched zero-timeout readiness pass ([wait]).
+    batched readiness pass ([wait]) that blocks for at most its timeout
+    and returns as soon as an fd turns ready.
 
     The one implementation is a [poll(2)] C stub with an incrementally
     maintained pollfd mirror — no descriptor ceiling, which the
@@ -50,8 +51,11 @@ module type BACKEND = sig
   (** Distinct descriptors registered: one batched pass walks this many
       entries, so the pump paces its passes proportionally. *)
 
-  val wait : t -> Unix.file_descr list * Unix.file_descr list
-  (** One zero-timeout pass: the ready-to-read and ready-to-write fds. *)
+  val wait : t -> timeout_us:int -> Unix.file_descr list * Unix.file_descr list
+  (** One pass: the ready-to-read and ready-to-write fds, waiting up to
+      [timeout_us] microseconds for the first one ([0] = non-blocking).
+      The poll implementation uses [ppoll(2)]; where that is missing
+      the timeout is rounded down to whole milliseconds. *)
 
   val probe : [ `R | `W ] -> Unix.file_descr -> exn option
   (** Tests one fd alone (the watchdog's stale-registration probe):
@@ -164,12 +168,21 @@ end
 
 (** {1 Polling and introspection} *)
 
-val poll : t -> int
+val poll : t -> budget_us:int -> int
 (** The pump: drains the submission rings, issues at most one batched
     readiness pass, executes ready operations and delivers their
     completions; returns how many completions were delivered (including
-    intents failed with a descriptor error).  Thread-safe; call from
-    worker loops. *)
+    intents failed with a descriptor error).
+
+    With [budget_us = 0] the pass is non-blocking and paced: it is
+    skipped when the last pass is more recent than the pacing interval
+    (50 us plus 0.2 us per registered fd), which is what busy workers'
+    per-iteration pumps use.  With [budget_us > 0] — an idle worker
+    handing over its backoff — the pass runs regardless of pacing and
+    blocks up to [budget_us] microseconds, returning as soon as an fd
+    turns ready.  Nothing blocks when no fiber is parked.  Call from the
+    pool's pump (one caller at a time per reactor), e.g.
+    [register_poller p (fun budget_us -> Io.poll io ~budget_us)]. *)
 
 val pending : t -> int
 (** Intents currently submitted and undecided (parked fibers). *)

@@ -131,10 +131,15 @@ val set_tracer : t -> Tracing.t -> unit
     {!run}; adds two clock reads per task. *)
 
 val register_poller :
-  t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (unit -> int) -> unit
+  t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (int -> int) -> unit
 (** Adds an event source that workers poll once per scheduling iteration,
-    like the built-in timer — e.g. {!Io.poll} for file-descriptor
-    readiness.  The callback returns how many events it fired.  Register
+    like the built-in timer — e.g. [fun budget_us -> Io.poll io
+    ~budget_us] for file-descriptor readiness.  The callback takes a
+    wait budget in microseconds and returns how many events it fired:
+    busy workers pass 0 (do not block); an idle worker passes its
+    backoff, capped at 50 us, and sleeps only what the pollers did not
+    spend, so a source that can wait for its events (as {!Io.poll} does
+    in [ppoll(2)]) wakes an idle pool the moment one arrives.  Register
     before {!run}; not thread-safe against concurrent registration. *)
 
 val register_shed_counter : t -> (unit -> int) -> unit

@@ -226,7 +226,7 @@ module type POLICY = sig
 end
 
 type poller = {
-  poll_fn : unit -> int;
+  poll_fn : int -> int;  (* wait budget in us (0 = non-blocking) -> events fired *)
   pending_fn : (unit -> int) option;  (* gauge: fibers parked in this source *)
   syscalls_fn : (unit -> int) option;  (* counter: kernel I/O calls issued *)
 }
@@ -294,7 +294,36 @@ module Make (P : POLICY) = struct
           (fun () ->
             if hint < infinity && hint <= Unix.gettimeofday () then
               ignore (Timer.poll t.timer : int);
-            List.iter (fun p -> ignore (p.poll_fn () : int)) t.pollers)
+            List.iter (fun p -> ignore (p.poll_fn 0 : int)) t.pollers)
+
+  (* Spend an idle worker's backoff of [s] seconds.  The worker that
+     wins the pump election hands up to [backoff_base_us] of it to the
+     pollers as a wait budget, so an fd turning ready ends the wait at
+     once and its completion is delivered straight away.  Only the part
+     the pollers did not use is slept, with the election released: all
+     of [s] when nothing is parked in any poller (they return at once),
+     and none of it when a poller fired.  Capping the in-backend wait at
+     the base interval bounds how long a sibling's submissions and the
+     pool timer can sit behind a held [pump_lock]. *)
+  let idle_wait t s =
+    let rest =
+      if t.pollers = [] || not (Atomic.compare_and_set t.pump_lock false true) then s
+      else
+        Fun.protect
+          ~finally:(fun () -> Atomic.set t.pump_lock false)
+          (fun () ->
+            let start = Unix.gettimeofday () in
+            let stop = start +. Float.min s (float_of_int backoff_base_us /. 1e6) in
+            let fired =
+              List.fold_left
+                (fun acc p ->
+                  let left_us = int_of_float ((stop -. Unix.gettimeofday ()) *. 1e6) in
+                  acc + p.poll_fn (max 0 left_us))
+                0 t.pollers
+            in
+            if fired > 0 then 0. else s -. (Unix.gettimeofday () -. start))
+    in
+    if rest > 0. then Unix.sleepf rest
 
   (* Move externally submitted thunks into the worker's local queue.
      Exchange empties the Treiber stack in one atomic op; the reverse
@@ -361,14 +390,19 @@ module Make (P : POLICY) = struct
         | None ->
             (* Nothing runnable: spin briefly, then back off exponentially
                (capped) to avoid burning the core — we may be
-               oversubscribed — clamping the sleep to the next timer
-               deadline so expiry is never overslept. *)
+               oversubscribed — clamping the backoff to the next timer
+               deadline so expiry is never overslept.  The backoff is
+               spent waiting in the pollers where possible (see
+               [idle_wait]), so a ready fd ends it early. *)
             if idle_spins < 16 then Domain.cpu_relax ()
             else begin
               (* A worker that owns suspended fibers may be handed a resume
-                 from another domain at any moment, and nothing interrupts a
-                 sleeping worker — so such workers stay at the base poll
-                 interval and only truly-idle ones climb to the cap.
+                 from another domain at any moment.  Only an fd turning
+                 ready in the pollers this worker waits in ends its wait
+                 early; a resume pushed by another domain (a sibling's pump,
+                 a channel send) waits out the backoff — so such workers
+                 stay at the base poll interval and only truly-idle ones
+                 climb to the cap.
 
                  Deliberate tradeoff: nothing wakes a truly-idle worker when
                  fresh tasks are pushed elsewhere either, so pickup of newly
@@ -391,7 +425,7 @@ module Make (P : POLICY) = struct
                 let hint = Timer.next_deadline_hint t.timer in
                 if hint < infinity then min s (hint -. Unix.gettimeofday ()) else s
               in
-              if s > 0. then Unix.sleepf s else Domain.cpu_relax ()
+              if s > 0. then idle_wait t s else Domain.cpu_relax ()
             end;
             loop (idle_spins + 1)
       end
@@ -576,7 +610,7 @@ module Make (P : POLICY) = struct
   let register_watchdog t wd =
     Watchdog.add_on_stall wd (fun _msg -> mark_stall t);
     Watchdog.attach_heartbeats wd ~name:t.entry.reg_name (fun () -> heartbeats t);
-    register_poller t (fun () -> Watchdog.poll wd);
+    register_poller t (fun _budget_us -> Watchdog.poll wd);
     register_watchdog_stats t (fun () -> Watchdog.snapshot wd)
 
   let name t = t.entry.reg_name

@@ -294,9 +294,11 @@ module type POLICY = sig
   (** Whether this worker may be handed resumed continuations from other
       domains at any moment (it owns deques with suspended fibers).  The
       engine keeps such workers at the base idle-poll interval instead of
-      letting them climb the backoff ladder — a sleeping worker cannot be
-      interrupted, so backing off would add up to the backoff cap to every
-      cross-domain resume.  Policies without suspension return [false].
+      letting them climb the backoff ladder: an idle worker's wait ends
+      early only when an fd turns ready in the pollers it waits in, not
+      when another domain pushes it a resume, so backing off would add up
+      to the backoff cap to every cross-domain resume.  Policies without
+      suspension return [false].
 
       Workers for which this returns [false] {e do} climb to the cap
       (currently 1 ms), and nothing wakes them when fresh tasks are pushed
@@ -392,12 +394,19 @@ module Make (P : POLICY) : sig
   val workers : t -> int
   val set_tracer : t -> Tracing.t -> unit
   val register_poller :
-    t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (unit -> int) -> unit
+    t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (int -> int) -> unit
   (** [register_poller t ?pending ?syscalls poll] adds an event source
-      pumped by the worker loop.  [pending] (e.g. {!Io.pending}) feeds
-      the [io_pending] stats gauge; [syscalls] (e.g. {!Io.syscalls})
-      feeds the [io_syscalls] counter; sources without parked fibers or
-      kernel traffic omit them. *)
+      pumped by the worker loop.  [poll budget_us] returns how many
+      events it fired.  The worker holding the pump election calls it
+      with [budget_us = 0] once per scheduling iteration, where it must
+      not block.  An idle worker about to back off calls it with its
+      backoff as [budget_us] (at most 50 us): a source may block up to
+      that long for an event (e.g. {!Io.poll} waits in [ppoll(2)]), and
+      the worker sleeps only what the pollers left unused.  Sources
+      that cannot wait ignore the budget.  [pending] (e.g.
+      {!Io.pending}) feeds the [io_pending] stats gauge; [syscalls]
+      (e.g. {!Io.syscalls}) feeds the [io_syscalls] counter; sources
+      without parked fibers or kernel traffic omit them. *)
 
   val register_shed_counter : t -> (unit -> int) -> unit
   (** Adds a monotone counter summed into the [conns_shed] stats field —

@@ -57,10 +57,13 @@ val set_tracer : t -> Tracing.t -> unit
     {!run}; adds two clock reads per task. *)
 
 val register_poller :
-  t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (unit -> int) -> unit
+  t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (int -> int) -> unit
 (** Adds an event source that workers poll once per scheduling iteration.
-    The callback returns how many events it fired.  Register before
-    {!run}; not thread-safe against concurrent registration. *)
+    The callback takes a wait budget in microseconds — 0 from busy
+    workers (do not block), an idle worker's backoff capped at 50 us
+    otherwise (the worker sleeps what the pollers leave unused) — and
+    returns how many events it fired.  Register before {!run}; not
+    thread-safe against concurrent registration. *)
 
 val register_shed_counter : t -> (unit -> int) -> unit
 (** Adds a monotone overload-shed counter summed into the [conns_shed]

@@ -214,6 +214,43 @@ let test_steal_half_split () =
         !rest)
     [ 0; 1; 2; 3; 4; 5; 6; 7; 64; 65 ]
 
+(* The owner pops while a batch is in flight, made deterministic by
+   popping from inside the thief's callback.  After the first element
+   the owner takes 4 of the remaining 5 slots, so bottom falls to 2
+   while top is 1: the thief may take slot 1 and must stop there.  A
+   thief that trusts its one [bottom] read still wins the CAS 2 -> 3 and
+   hands out slot 2, which the owner already took and reset to the
+   deque's private sentinel.  Boxed elements make every legitimate value
+   distinguishable from that sentinel by physical identity. *)
+let test_steal_half_owner_pops_mid_batch () =
+  let items = Array.init 6 (fun i -> ref i) in
+  let d = CL.create () in
+  Array.iter (CL.push_bottom d) items;
+  let stolen = ref [] and popped = ref [] in
+  let first = ref true in
+  let k =
+    CL.steal_half d (fun x ->
+        stolen := x :: !stolen;
+        if !first then begin
+          first := false;
+          for _ = 1 to 4 do
+            match CL.pop_bottom d with Some y -> popped := y :: !popped | None -> ()
+          done
+        end)
+  in
+  let genuine x = Array.exists (fun y -> y == x) items in
+  Alcotest.(check int) "stolen count" 2 k;
+  Alcotest.(check int) "owner popped" 4 (List.length !popped);
+  let all = !stolen @ !popped in
+  Alcotest.(check bool) "every value is a pushed element" true (List.for_all genuine all);
+  Alcotest.(check (list int))
+    "each element exactly once"
+    [ 0; 1; 2; 3; 4; 5 ]
+    (List.sort compare (List.map ( ! ) all));
+  Alcotest.(check bool) "deque empty" true (CL.is_empty d);
+  Alcotest.(check (option int)) "nothing left to pop" None
+    (Option.map ( ! ) (CL.pop_bottom d))
+
 (* Steal-half racing the owner's pop for the boundary element: the owner
    pops right after every push, so the deque is never more than one
    element deep and every successful steal_half contends with pop_bottom
@@ -343,6 +380,8 @@ let () =
           Alcotest.test_case "growth" `Quick test_growth;
           Alcotest.test_case "interleaved grow/steal" `Quick test_interleaved_grow_steal;
           Alcotest.test_case "steal-half split arithmetic" `Quick test_steal_half_split;
+          Alcotest.test_case "steal-half owner pops mid-batch" `Quick
+            test_steal_half_owner_pops_mid_batch;
         ] );
       ( "concurrent",
         [

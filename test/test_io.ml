@@ -4,7 +4,7 @@ module Pool = Lhws_pool
 let with_io_pool f =
   Pool.with_pool ~workers:2 (fun p ->
       let io = Io.create () in
-      Pool.register_poller p (fun () -> Io.poll io);
+      Pool.register_poller p (fun budget_us -> Io.poll io ~budget_us);
       f p io)
 
 let test_pipe_roundtrip () =
@@ -35,7 +35,7 @@ let test_read_does_not_block_worker () =
      computation must proceed — the whole point of latency hiding. *)
   Pool.with_pool ~workers:1 (fun p ->
       let io = Io.create () in
-      Pool.register_poller p (fun () -> Io.poll io);
+      Pool.register_poller p (fun budget_us -> Io.poll io ~budget_us);
       let r, w = Unix.pipe ~cloexec:true () in
       Fun.protect
         ~finally:(fun () ->
@@ -177,7 +177,7 @@ let test_fd_error_surfaces () =
 let test_io_pending_stat () =
   Pool.with_pool ~workers:2 (fun p ->
       let io = Io.create () in
-      Pool.register_poller p ~pending:(fun () -> Io.pending io) (fun () -> Io.poll io);
+      Pool.register_poller p ~pending:(fun () -> Io.pending io) (fun budget_us -> Io.poll io ~budget_us);
       let r, w = Unix.pipe ~cloexec:true () in
       Fun.protect
         ~finally:(fun () ->

@@ -117,7 +117,7 @@ let test_many_runs_with_suspension () =
 let test_timer_and_io_pollers_coexist () =
   Pool.with_pool ~workers:1 (fun p ->
       let io = Io.create () in
-      Pool.register_poller p (fun () -> Io.poll io);
+      Pool.register_poller p (fun budget_us -> Io.poll io ~budget_us);
       let r, w = Unix.pipe ~cloexec:true () in
       Fun.protect
         ~finally:(fun () ->
